@@ -433,6 +433,19 @@ let set_label obj text =
 
 let geometry obj = obj.geom
 
+let move_resize obj geom =
+  if is_realized obj then begin
+    Server.move_resize obj.tk.server obj.tk.conn obj.win geom;
+    obj.geom <- geom
+  end
+
+let reparent obj ~parent_window ~at =
+  if is_realized obj then begin
+    Server.reparent_window obj.tk.server obj.tk.conn obj.win
+      ~new_parent:parent_window ~pos:at;
+    obj.geom <- { obj.geom with Geom.x = at.Geom.px; y = at.Geom.py }
+  end
+
 let map obj =
   if is_realized obj then Server.map_window obj.tk.server obj.tk.conn obj.win
 

@@ -115,6 +115,17 @@ val relayout : t -> unit
 val geometry : t -> Swm_xlib.Geom.rect
 (** Parent-window-relative geometry of the realized object. *)
 
+val move_resize : t -> Swm_xlib.Geom.rect -> unit
+(** Move/resize a realized object's window with one request and record the
+    new geometry, without laying its children out again.  Moving the
+    window behind the object's back instead leaves {!geometry} stale, and
+    the next {!relayout} would put the window back. *)
+
+val reparent :
+  t -> parent_window:Swm_xlib.Xid.t -> at:Swm_xlib.Geom.point -> unit
+(** Reparent a realized object's window to [at] in [parent_window], with
+    one request, and record the new position (see {!move_resize}). *)
+
 val map : t -> unit
 val unmap : t -> unit
 

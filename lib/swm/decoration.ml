@@ -207,11 +207,18 @@ let client_resized (ctx : Ctx.t) (client : Ctx.client) (w, h) =
       Server.move_resize ctx.server ctx.conn client.cwin { geom with Geom.w = w; h };
       Icccm.send_synthetic_configure ctx client
 
+(* Every move/resize of a frame goes through here, so a decorated frame's
+   cached Wobj geometry follows it: a stale cache would make the next
+   relayout (a resize, a wider title) move the frame back. *)
+let set_frame_geometry (ctx : Ctx.t) (client : Ctx.client) geom =
+  match client.deco with
+  | Some deco -> Wobj.move_resize deco geom
+  | None -> Server.move_resize ctx.server ctx.conn client.frame geom
+
 let move_frame (ctx : Ctx.t) (client : Ctx.client) pos =
   Xguard.run ctx ~where:"decoration.move" @@ fun () ->
   let geom = Server.geometry ctx.server client.frame in
-  Server.move_resize ctx.server ctx.conn client.frame
-    { geom with Geom.x = pos.Geom.px; y = pos.Geom.py };
+  set_frame_geometry ctx client { geom with Geom.x = pos.Geom.px; y = pos.Geom.py };
   Icccm.send_synthetic_configure ctx client
 
 let update_name (ctx : Ctx.t) (client : Ctx.client) =

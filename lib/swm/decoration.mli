@@ -33,6 +33,12 @@ val client_resized : Ctx.t -> Ctx.client -> int * int -> unit
 (** Honour a client resize: grow the [client] panel, re-lay the frame out,
     resize the client window, and send the synthetic ConfigureNotify. *)
 
+val set_frame_geometry : Ctx.t -> Ctx.client -> Swm_xlib.Geom.rect -> unit
+(** Move/resize the frame (parent-relative) with one request, keeping the
+    decoration's cached geometry in step.  Every frame move goes through
+    here; moving [client.frame] directly would let the next relayout (a
+    resize, a wider title) snap the frame back. *)
+
 val move_frame : Ctx.t -> Ctx.client -> Swm_xlib.Geom.point -> unit
 (** Move the frame (parent-relative coordinates) and tell the client via a
     synthetic ConfigureNotify. *)

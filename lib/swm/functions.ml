@@ -11,6 +11,7 @@ module Tracing = Swm_xlib.Tracing
 module Recorder = Swm_xlib.Recorder
 module Replay = Swm_xlib.Replay
 module Profile = Swm_xlib.Profile
+module Ring = Swm_xlib.Ring
 
 type invocation = {
   inv_obj : Wobj.t option;
@@ -151,7 +152,7 @@ let zoom (ctx : Ctx.t) (client : Ctx.client) =
   | Some (saved_frame, (cw, ch))
     when not (Geom.rect_equal saved_frame (Server.geometry ctx.server client.frame)) ->
       Decoration.client_resized ctx client (cw, ch);
-      Server.move_resize ctx.server ctx.conn client.frame saved_frame;
+      Decoration.set_frame_geometry ctx client saved_frame;
       client.zoom_saved <- None;
       Icccm.send_synthetic_configure ctx client
   | Some _ | None ->
@@ -168,7 +169,7 @@ let zoom (ctx : Ctx.t) (client : Ctx.client) =
       Decoration.client_resized ctx client
         (max 16 (sw - deco_w - 2), max 16 (sh - deco_h - 2));
       let fgeom' = Server.geometry ctx.server client.frame in
-      Server.move_resize ctx.server ctx.conn client.frame
+      Decoration.set_frame_geometry ctx client
         { fgeom' with Geom.x = origin.px; y = origin.py }
 
 (* -------- stickiness -------- *)
@@ -472,26 +473,18 @@ let health_json (ctx : Ctx.t) =
     (Recorder.dropped recorder) (Recorder.dumps recorder)
     (Server.ledger_json ctx.server)
 
-(* The recent-dispatch waterfall: every retained dispatch with its
-   ingress -> queue -> dispatch timings, the requests it issued, and the
-   f.* verbs it ran — the per-event causality view behind f.waterfall.
-   Entries are emitted oldest-first; queue_ns/e2e_ns are -1 when the event
-   entered the queue while the ledger was disarmed (no ingress stamp). *)
-let waterfall_json (ctx : Ctx.t) =
-  let cap = Array.length ctx.wf_ring in
-  let entries = ref [] in
-  for i = cap - 1 downto 0 do
-    match ctx.wf_ring.((ctx.wf_head + i) mod cap) with
-    | Some r -> entries := r :: !entries
-    | None -> ()
-  done;
-  let entries = List.rev !entries in
+(* The recent dispatch records as a JSON array, oldest first: each
+   dispatch with its ingress -> queue -> dispatch timings, the requests it
+   issued, and the f.* verbs it ran.  queue_ns/e2e_ns are -1 when the event
+   entered the queue while the ledger was disarmed (no ingress stamp).
+   f.waterfall and the flight recorder's "dispatches" member both render
+   the ring through here. *)
+let dispatches_json (ctx : Ctx.t) =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"events\":%d,\"waterfall\":[" (List.length entries));
-  List.iteri
-    (fun i (r : Ctx.waterfall_rec) ->
-      if i > 0 then Buffer.add_char buf ',';
+  Buffer.add_char buf '[';
+  Ring.iter
+    (fun (r : Ctx.waterfall_rec) ->
+      if Buffer.length buf > 1 then Buffer.add_char buf ',';
       let queue_ns = if r.wf_ingress_ns > 0 then r.wf_t0 - r.wf_ingress_ns else -1 in
       let e2e_ns = if r.wf_ingress_ns > 0 then r.wf_t1 - r.wf_ingress_ns else -1 in
       Buffer.add_string buf
@@ -502,10 +495,15 @@ let waterfall_json (ctx : Ctx.t) =
            (Metrics.json_string (Event.name_of_code r.wf_code))
            r.wf_ingress_ns queue_ns (r.wf_t1 - r.wf_t0) e2e_ns r.wf_requests
            (String.concat "," (List.map Metrics.json_string r.wf_fns))))
-    entries;
-  Buffer.add_string buf
-    (Printf.sprintf "],\"ledger\":%s}" (Server.ledger_json ctx.server));
+    ctx.dispatches;
+  Buffer.add_char buf ']';
   Buffer.contents buf
+
+(* The per-event causality view behind f.waterfall. *)
+let waterfall_json (ctx : Ctx.t) =
+  Printf.sprintf "{\"events\":%d,\"waterfall\":%s,\"ledger\":%s}"
+    (Ring.length ctx.dispatches) (dispatches_json ctx)
+    (Server.ledger_json ctx.server)
 
 (* The time-series payload: the sampler's retained window plus the derived
    rates.  A sample is taken first so the window always extends to the

@@ -66,3 +66,8 @@ val autosave : Ctx.t -> file_arg:string option -> unit
     the autosave countdown, and count [session.autosaves].  {!Wm} calls
     this every [autosaveInterval] dispatched events, so a WM crash loses
     at most one interval of session state.  A no-op with no path. *)
+
+val dispatches_json : Ctx.t -> string
+(** The recent dispatch records ({!Ctx.waterfall_rec}), oldest first, as
+    the JSON array [f.waterfall] writes; the flight recorder renders its
+    ["dispatches"] member with it. *)

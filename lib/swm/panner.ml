@@ -89,19 +89,9 @@ let clear_miniatures (ctx : Ctx.t) ~screen =
         Server.destroy_window ctx.server mini)
     stale
 
-let refresh (ctx : Ctx.t) ~screen =
-  if ctx.tier <> Ctx.Tier_full then
-    (* Degraded: the panner is a luxury redraw.  The governor re-runs
-       refresh on every screen when it restores the full tier. *)
-    Metrics.incr
-      (Metrics.counter (Server.metrics ctx.server) "governor.refreshes_skipped")
-  else
-  (let tracer = Server.tracer ctx.server in
-   if Swm_xlib.Tracing.enabled tracer then
-     Swm_xlib.Tracing.span tracer "panner.refresh"
-   else fun f -> f ())
-  @@ fun () ->
-  Metrics.time_ns (Server.metrics ctx.server) "panner.refresh_ns" @@ fun () ->
+(* Rebuild the scrollbars, the viewport outline and one miniature per
+   desktop client. *)
+let redraw (ctx : Ctx.t) ~screen =
   Scrollbar.refresh ctx ~screen;
   match vdesk_of ctx ~screen with
   | None -> ()
@@ -159,6 +149,22 @@ let refresh (ctx : Ctx.t) ~screen =
             end)
           stacked_clients
       end
+
+let refresh (ctx : Ctx.t) ~screen =
+  if ctx.tier <> Ctx.Tier_full then
+    (* Degraded: the panner is a luxury redraw.  The governor re-runs
+       refresh on every screen when it restores the full tier. *)
+    Metrics.incr
+      (Metrics.counter (Server.metrics ctx.server) "governor.refreshes_skipped")
+  else
+  (let tracer = Server.tracer ctx.server in
+   if Swm_xlib.Tracing.enabled tracer then
+     Swm_xlib.Tracing.span tracer "panner.refresh"
+   else fun f -> f ())
+  @@ fun () ->
+  let t0 = Metrics.now_mono_ns () in
+  redraw ctx ~screen;
+  Metrics.observe ctx.h_panner_refresh_ns (Metrics.now_mono_ns () - t0)
 
 let client_of_miniature (ctx : Ctx.t) win = Xid.Tbl.find_opt ctx.panner_minis win
 

@@ -153,7 +153,11 @@ let set_sticky (ctx : Ctx.t) (client : Ctx.client) sticky =
             Geom.point (abs.x + o.px) (abs.y + o.py)
           end
         in
-        Server.reparent_window ctx.server ctx.conn client.frame ~new_parent:parent ~pos;
+        (match client.deco with
+        | Some deco -> Swm_oi.Wobj.reparent deco ~parent_window:parent ~at:pos
+        | None ->
+            Server.reparent_window ctx.server ctx.conn client.frame ~new_parent:parent
+              ~pos);
         Server.raise_window ctx.server ctx.conn client.frame);
     Icccm.set_swm_root ctx client.cwin ~root:(effective_root ctx client);
     Icccm.send_synthetic_configure ctx client

@@ -10,6 +10,7 @@ module Xid = Swm_xlib.Xid
 module Prop = Swm_xlib.Prop
 module Atom = Swm_xlib.Atom
 module Event = Swm_xlib.Event
+module Ring = Swm_xlib.Ring
 module Render = Swm_xlib.Render
 module Xrdb = Swm_xrdb.Xrdb
 module Wobj = Swm_oi.Wobj
@@ -417,7 +418,7 @@ let handle_resizing (ctx : Ctx.t) (r_client : Ctx.client) (sw0, sh0) r_pointer r
   let x = if r_dir.Geom.px < 0 then r_frame0.Geom.x + (r_frame0.Geom.w - fg.w) else fg.x in
   let y = if r_dir.Geom.py < 0 then r_frame0.Geom.y + (r_frame0.Geom.h - fg.h) else fg.y in
   if x <> fg.x || y <> fg.y then
-    Server.move_resize ctx.server ctx.conn r_client.frame { fg with Geom.x; y };
+    Decoration.set_frame_geometry ctx r_client { fg with Geom.x; y };
   if commit then begin
     Server.ungrab_pointer ctx.server ctx.conn;
     ctx.mode <- Ctx.Idle;
@@ -795,22 +796,22 @@ let stats_tick (ctx : Ctx.t) =
     Metrics.sample ctx.sampler
   end
 
-(* Every event goes through here so dispatch latency lands in the
-   [wm.dispatch_ns] histogram (CPU time) alongside the server's queue
-   counters, and — when tracing is on — as a [wm.dispatch] span that
-   parents everything the handler does (function runs, redraws, pans).
+(* Every event goes through here.  One pair of monotonic reads around the
+   handler feeds everything the dispatch reports: the [wm.dispatch_wall_ns]
+   histogram, the per-class [event.e2e_ns] histogram, the watchdog, and —
+   while the ledger is armed — the one dispatch record pushed onto
+   [ctx.dispatches], which [f.waterfall] and crash reports render.  When
+   tracing is on, a [wm.dispatch] span parents everything the handler does
+   (function runs, redraws, pans).
 
    The handler runs under {!Xguard}: a BadWindow/BadAccess raised by a
    racing client is absorbed at this boundary (counted in [wm.xerrors]),
-   after which dead clients are swept instead of crashing the WM.
-
-   Around the guard sit the health layer's probes: the flight recorder
-   logs the event, wall time goes into [wm.dispatch_wall_ns], and a
+   after which dead clients are swept instead of crashing the WM.  A
    dispatch that overruns [watchdog_threshold_ns] counts a
-   [watchdog.stalls] — the "the WM froze for a moment" signal that CPU
-   time cannot see.  An exception that escapes even Xguard dumps a crash
-   report before propagating: the flight recorder's whole purpose is to
-   still have the story when that happens. *)
+   [watchdog.stalls] — the "the WM froze for a moment" signal.  An
+   exception that escapes even Xguard dumps a crash report before
+   propagating: the flight recorder's whole purpose is to still have the
+   story when that happens. *)
 (* Per-kind dispatch constants, precomputed once so the hot loop never
    allocates attr lists or concatenates labels. *)
 let span_attrs =
@@ -839,12 +840,6 @@ let handle_event_full (ctx : Ctx.t) event (stamp : Server.stamp) =
   let recorder = Server.recorder ctx.server in
   let code = Event.code event in
   let kind = Event.name_of_code code in
-  if Recorder.enabled recorder then
-    (* The seq exemplar links this recorder entry (and every request the
-       dispatch issues) back to the triggering event's ingress record. *)
-    Recorder.record recorder ~kind:"event"
-      ~attrs:[ ("seq", string_of_int stamp.Server.seq) ]
-      kind;
   Metrics.incr ctx.dispatch_counters.(code);
   (if Tracing.enabled tracer then
      Tracing.span tracer "wm.dispatch"
@@ -857,7 +852,6 @@ let handle_event_full (ctx : Ctx.t) event (stamp : Server.stamp) =
   Profile.event_section (Server.profiler ctx.server)
   @@ fun () ->
   let t0 = Metrics.now_mono_ns () in
-  let c0 = Sys.time () in
   let req0 = Server.request_count ctx.server in
   ctx.fn_trail <- [];
   (match
@@ -879,10 +873,6 @@ let handle_event_full (ctx : Ctx.t) event (stamp : Server.stamp) =
    with
   | Some () -> ()
   | None -> sweep_dead ctx);
-  (* Both dispatch clocks land in preresolved histograms: CPU time
-     (dispatch_ns, "how much work") and monotonic wall time
-     (dispatch_wall_ns, "how long the loop stalled"). *)
-  Metrics.observe ctx.h_dispatch_ns (int_of_float ((Sys.time () -. c0) *. 1e9));
   let t1 = Metrics.now_mono_ns () in
   let elapsed = t1 - t0 in
   Metrics.observe ctx.h_dispatch_wall_ns elapsed;
@@ -891,20 +881,17 @@ let handle_event_full (ctx : Ctx.t) event (stamp : Server.stamp) =
      the queue: no residency baseline, so no sample. *)
   if stamp.Server.ingress_ns > 0 then
     Metrics.observe ctx.h_e2e.(code) (t1 - stamp.Server.ingress_ns);
-  if Server.ledger_enabled ctx.server then begin
-    ctx.wf_ring.(ctx.wf_head) <-
-      Some
-        {
-          Ctx.wf_seq = stamp.Server.seq;
-          wf_code = code;
-          wf_ingress_ns = stamp.Server.ingress_ns;
-          wf_t0 = t0;
-          wf_t1 = t1;
-          wf_requests = Server.request_count ctx.server - req0;
-          wf_fns = List.rev ctx.fn_trail;
-        };
-    ctx.wf_head <- (ctx.wf_head + 1) mod Array.length ctx.wf_ring
-  end;
+  if Server.ledger_enabled ctx.server then
+    Ring.push ctx.dispatches
+      {
+        Ctx.wf_seq = stamp.Server.seq;
+        wf_code = code;
+        wf_ingress_ns = stamp.Server.ingress_ns;
+        wf_t0 = t0;
+        wf_t1 = t1;
+        wf_requests = Server.request_count ctx.server - req0;
+        wf_fns = List.rev ctx.fn_trail;
+      };
   if elapsed >= ctx.watchdog_threshold_ns then begin
     Metrics.incr ctx.c_watchdog_stalls;
     let attrs =
@@ -1164,14 +1151,13 @@ let start ?(resources = []) ?(host = "localhost") ?(display = ":0") server =
       c_gov_skipped = Metrics.counter metrics "governor.events_skipped";
       events_by_kind;
       dispatch_counters;
-      h_dispatch_ns = Metrics.histogram metrics "wm.dispatch_ns";
       h_dispatch_wall_ns = Metrics.histogram metrics "wm.dispatch_wall_ns";
       h_e2e =
         (let fam = Metrics.histogram_family metrics ~key:"event" "event.e2e_ns" in
          Array.init (Event.last_event + 1) (fun code ->
              Metrics.labeled_histogram fam (Event.name_of_code code)));
-      wf_ring = Array.make Ctx.waterfall_capacity None;
-      wf_head = 0;
+      h_panner_refresh_ns = Metrics.histogram metrics "panner.refresh_ns";
+      dispatches = Ring.bounded Ctx.waterfall_capacity;
       fn_trail = [];
       c_events_dispatched = Metrics.counter metrics "wm.events_dispatched";
       c_watchdog_stalls = Metrics.counter metrics "watchdog.stalls";
@@ -1241,6 +1227,7 @@ let start ?(resources = []) ?(host = "localhost") ?(display = ":0") server =
      [flightRecorderDump: PATH] is where crash reports land. *)
   let recorder = Server.recorder server in
   Recorder.set_snapshot_source recorder (fun () -> state_snapshot_json ctx);
+  Recorder.set_dispatch_source recorder (fun () -> Functions.dispatches_json ctx);
   (* Session setup for the replay journal: what a fresh WM needs to be
      started the same way (dump_json emits it as the report's [meta]). *)
   Recorder.set_meta recorder

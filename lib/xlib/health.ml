@@ -1,18 +1,7 @@
-(* Per-connection health scoring for slow-client quarantine.
-
-   Each connection carries a [t].  On every server health tick the caller
-   feeds a [sample] of cumulative per-connection pressure signals (queue
-   depth ratio, events shed from its queue, rejected wire frames, absorbed
-   X errors, stall contributions); [observe] turns the deltas into a decayed
-   score and steps a three-state machine with hysteresis:
-
-       Healthy --score >= quarantine--> Throttled
-       Throttled --score >= evict--> Evicted        (terminal)
-       Throttled --calm_ticks quiet ticks--> Healthy
-
-   The score decays multiplicatively each tick, so a burst of misbehaviour
-   must be sustained to reach eviction, and a throttled client that goes
-   quiet earns its way back instead of flapping on a single calm sample. *)
+(* Health scoring for slow-client quarantine (see health.mli).  The score
+   decays multiplicatively each tick, so a burst of misbehaviour must be
+   sustained to reach eviction, and a throttled client that goes quiet
+   earns its way back instead of flapping on a single calm sample. *)
 
 type state = Healthy | Throttled | Evicted
 
@@ -53,6 +42,9 @@ let create () =
     last_xerrors = 0;
     last_stalls = 0;
   }
+
+let state t = t.state
+let score t = t.score
 
 type sample = {
   depth_ratio : float;  (* pending / cap, clamped by the caller to >= 0 *)

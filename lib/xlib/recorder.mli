@@ -4,17 +4,21 @@
     registry and the {!Tracing} ring, and answers the question neither of
     those can: {e what was the WM doing when it went wrong?}  Metrics are
     point samples and traces need to have been switched on around the
-    interesting window; the recorder instead keeps a bounded ring of the
-    most recent {e structured activity} — dispatched events, [f.*]
-    invocations, injected faults, absorbed X errors, pans, swmcmd lines,
-    watchdog stalls — cheaply enough to stay armed in production.
+    interesting window; the recorder instead keeps a bounded {!Ring} of
+    the most recent {e structured activity} — [f.*] invocations, injected
+    faults, absorbed X errors, pans, swmcmd lines, watchdog stalls —
+    cheaply enough to stay armed in production.  Dispatched events are not
+    entries: each dispatch already writes one record into the WM's
+    dispatch ring, and a dump carries that ring instead.
 
-    Two extra pieces make a dump self-contained:
+    Three extra pieces make a dump self-contained:
 
     - a {e state snapshot} source (installed by the WM) is invoked every
       {!set_snapshot_interval} records, so the dump carries a recent
       compact picture of the window table and viewport, not just the
       activity tail;
+    - a {e dispatch source} (also installed by the WM) renders its recent
+      dispatch records, the same JSON array [f.waterfall] writes;
     - {!crash} renders the ring, the snapshot, the full metrics registry
       and the tracing slow-log into one JSON report and writes it with
       tmp+rename atomicity — called from the WM's X-error boundary and
@@ -33,11 +37,9 @@ type entry = {
 }
 
 val create : ?capacity:int -> ?journal_capacity:int -> unit -> t
-(** A recorder with a fixed ring of [capacity] entries (default 512) and
-    a fixed replay journal of [journal_capacity] ops (default 8192).
-    Unlike the growable {!Ring}, the recorder's rings never reallocate:
-    the cost of armed recording must not depend on how long the WM has
-    been up. *)
+(** A recorder with a bounded {!Ring} of [capacity] entries (default 512)
+    and a bounded replay journal of [journal_capacity] ops (default
+    8192). *)
 
 val capacity : t -> int
 val enabled : t -> bool
@@ -115,6 +117,11 @@ val snapshot_now : t -> unit
 val last_snapshot : t -> (int * string) option
 (** [(ts_ns, json)] of the most recent snapshot, if any. *)
 
+val set_dispatch_source : t -> (unit -> string) -> unit
+(** Install the renderer of the report's ["dispatches"] member: a JSON
+    array of the WM's recent dispatch records, oldest first.  Without a
+    source the member is [[]]. *)
+
 (** {1 Crash reports} *)
 
 val arm_dump : t -> path:string -> unit
@@ -127,9 +134,10 @@ val dumps : t -> int
 
 val dump_json :
   t -> reason:string -> metrics:Metrics.t -> tracer:Tracing.t -> string
-(** The self-contained report: reason, ring entries, last snapshot (a
-    fresh one is taken first when a source is installed),
-    [Metrics.to_json] and the tracing slow-log. *)
+(** The self-contained report: reason, ring entries, the recent
+    ["dispatches"], last snapshot (a fresh one is taken first when a
+    source is installed), [Metrics.to_json], the replay journal and the
+    tracing slow-log. *)
 
 val crash :
   t -> reason:string -> metrics:Metrics.t -> tracer:Tracing.t -> unit

@@ -45,8 +45,8 @@ type fate_record = {
   fr_t_fate : int;
 }
 
-(* Recent-fates window behind [f.fate]; like the flight recorder's ring,
-   it never grows, so a storm costs one slot overwrite per event. *)
+(* Recent-fates window behind [f.fate]: a bounded ring, so a storm costs
+   one slot overwrite per event. *)
 let fate_ring_capacity = 512
 
 type ledger = {
@@ -63,8 +63,7 @@ type ledger = {
   mutable lg_last_skip : int;
       (* a multi-rect Damage entry expands to several events sharing one
          seq; reclassifying delivered->skipped must count the entry once *)
-  lg_fates : fate_record option array;
-  mutable lg_head : int; (* next write slot *)
+  lg_fates : fate_record Ring.t;
   lg_queue_hist : Metrics.histogram array;
       (* event.queue_ns{event} indexed by Event.code, cached at create *)
 }
@@ -85,8 +84,7 @@ let mk_ledger metrics =
     lg_skipped = 0;
     lg_evicted = 0;
     lg_last_skip = 0;
-    lg_fates = Array.make fate_ring_capacity None;
-    lg_head = 0;
+    lg_fates = Ring.bounded fate_ring_capacity;
     lg_queue_hist =
       Array.init (Event.last_event + 1) (fun code ->
           Metrics.labeled_histogram fam (Event.name_of_code code));
@@ -101,22 +99,27 @@ let fate_bump lg = function
   | Skipped -> lg.lg_skipped <- lg.lg_skipped + 1
   | Evicted_with_conn -> lg.lg_evicted <- lg.lg_evicted + 1
 
+(* A delivery also closes the event's queue residency: its
+   [event.queue_ns] sample shares the fate record's clock read. *)
 let record_fate lg ~cname ~seq ?(survivor = -1) ~code ~window ~t_in fate =
   fate_bump lg fate;
   if lg.lg_armed then begin
-    lg.lg_fates.(lg.lg_head) <-
-      Some
-        {
-          fr_seq = seq;
-          fr_survivor = survivor;
-          fr_conn = cname;
-          fr_code = code;
-          fr_window = window;
-          fr_fate = fate;
-          fr_t_in = t_in;
-          fr_t_fate = Metrics.now_mono_ns ();
-        };
-    lg.lg_head <- (lg.lg_head + 1) mod fate_ring_capacity
+    let t = Metrics.now_mono_ns () in
+    (match fate with
+    | Delivered when t_in > 0 ->
+        Metrics.observe lg.lg_queue_hist.(code) (t - t_in)
+    | _ -> ());
+    Ring.push lg.lg_fates
+      {
+        fr_seq = seq;
+        fr_survivor = survivor;
+        fr_conn = cname;
+        fr_code = code;
+        fr_window = window;
+        fr_fate = fate;
+        fr_t_in = t_in;
+        fr_t_fate = t;
+      }
   end
 
 (* Damage entries surface as Expose on delivery; fate records use the same
@@ -1168,26 +1171,8 @@ let stamp_of_entry = function
    Damage expansion counts once — the unit of conservation is the queue
    entry): fate counter, queue-residency histogram, fate-ring record. *)
 let delivered_fate conn entry =
-  let lg = conn.c_ledger in
-  lg.lg_delivered <- lg.lg_delivered + 1;
-  if lg.lg_armed then begin
-    let seq, t_in, code, window = entry_meta entry in
-    let t = Metrics.now_mono_ns () in
-    if t_in > 0 then Metrics.observe lg.lg_queue_hist.(code) (t - t_in);
-    lg.lg_fates.(lg.lg_head) <-
-      Some
-        {
-          fr_seq = seq;
-          fr_survivor = -1;
-          fr_conn = conn.cname;
-          fr_code = code;
-          fr_window = window;
-          fr_fate = Delivered;
-          fr_t_in = t_in;
-          fr_t_fate = t;
-        };
-    lg.lg_head <- (lg.lg_head + 1) mod fate_ring_capacity
-  end
+  let seq, t_in, code, window = entry_meta entry in
+  record_fate conn.c_ledger ~cname:conn.cname ~seq ~code ~window ~t_in Delivered
 
 let rec next_event_stamped conn =
   if conn.stalled then None
@@ -1586,8 +1571,8 @@ let health_thresholds server = server.health_th
 let note_rejected conn = conn.h_rejected <- conn.h_rejected + 1
 let note_conn_xerror conn = conn.h_xerrors <- conn.h_xerrors + 1
 
-let conn_health conn = conn.health.Health.state
-let conn_health_score conn = conn.health.Health.score
+let conn_health conn = Health.state conn.health
+let conn_health_score conn = Health.score conn.health
 let is_throttled conn = conn.throttled
 let shed_count conn = conn.h_shed
 
@@ -1678,10 +1663,9 @@ let fate_json server ?conn:cfilter ?window () =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\"fates\": [";
   let first = ref true in
-  (* Oldest-first: the write head is also the oldest retained slot. *)
-  for i = 0 to fate_ring_capacity - 1 do
-    match lg.lg_fates.((lg.lg_head + i) mod fate_ring_capacity) with
-    | Some r when keep r ->
+  Ring.iter
+    (fun r ->
+      if keep r then begin
         if not !first then Buffer.add_string b ", ";
         first := false;
         Buffer.add_string b
@@ -1694,8 +1678,8 @@ let fate_json server ?conn:cfilter ?window () =
              (Metrics.json_string (fate_name r.fr_fate))
              (Metrics.json_string r.fr_conn)
              r.fr_window r.fr_survivor r.fr_t_in r.fr_t_fate)
-    | Some _ | None -> ()
-  done;
+      end)
+    lg.lg_fates;
   Buffer.add_string b (Printf.sprintf "], \"ledger\": %s}" (ledger_json server));
   Buffer.contents b
 
@@ -1749,7 +1733,7 @@ let health_tick server =
             [
               ("conn", conn.cname);
               ("state", state_name);
-              ("score", Printf.sprintf "%.1f" conn.health.Health.score);
+              ("score", Printf.sprintf "%.1f" (Health.score conn.health));
             ]
           (conn.cname ^ " -> " ^ state_name);
       if Tracing.enabled server.s_tracer then

@@ -11,23 +11,23 @@
 
     Costs: when disabled, {!span} is a single mutable-field check and
     the thunk call — no allocation, no clock read.  When enabled, each
-    span costs two monotonic clock reads and one record written into a
-    fixed-size ring of recent events (oldest overwritten first), so a
+    span costs two monotonic clock reads and one record pushed onto a
+    bounded {!Ring} of recent events (oldest overwritten first), so a
     tracer can stay on indefinitely without growing.
 
     Spans over a configurable threshold are additionally kept in a
-    {e slow-op log} with their full ancestry, surviving ring overwrite —
-    the post-hoc answer to "what was slow in the last hour".
+    {e slow-op log} — a second, smaller bounded ring — with their full
+    ancestry, surviving event-ring overwrite: the post-hoc answer to "what
+    was slow in the last hour".
 
     Export is Chrome trace-event JSON ({!to_chrome_json}): an object
     with a [traceEvents] array of complete ("ph":"X") and instant
     ("ph":"i") events that loads directly in Perfetto / chrome://tracing,
     where nesting is reconstructed from timestamp containment.
 
-    Clocks: all timestamps come from the monotonic clock
-    ({!Metrics.time_mono_ns} uses the same source), never from CPU
-    time — span durations measure wall latency, which is what a user
-    perceives. *)
+    Clocks: all timestamps come from {!Metrics.now_mono_ns}, the one
+    clock every layer reads, never from CPU time — span durations measure
+    wall latency, which is what a user perceives. *)
 
 type t
 

@@ -65,6 +65,50 @@ let test_save_zoom_restore () =
   let restored = Server.geometry server client.Ctx.frame in
   check Alcotest.bool "restored" true (Geom.rect_equal restored before)
 
+(* A moved frame stays where it was put.  Each step below moves the frame
+   (a move, a zoom, a stick) and then runs something that re-lays the
+   decoration out (a wider title, a client resize); the frame must not
+   jump back to where it was built. *)
+let test_moved_frame_stays_put () =
+  let server, wm, ctx = fixture () in
+  let app = Stock.xterm server ~at:(Geom.point 56 56) () in
+  ignore (Wm.step wm);
+  let client = client_of wm app in
+  let pos () =
+    let g = Server.geometry server client.Ctx.frame in
+    (g.Geom.x, g.Geom.y)
+  in
+  let at = Alcotest.(pair int int) in
+  Swm_core.Decoration.move_frame ctx client (Geom.point 156 136);
+  Client_app.set_name app "a title much wider than the one it had before";
+  ignore (Wm.step wm);
+  check at "move then wider retitle" (156, 136) (pos ());
+  Swm_core.Decoration.move_frame ctx client (Geom.point 200 180);
+  let g = Server.geometry server client.Ctx.cwin in
+  Swm_core.Decoration.client_resized ctx client (g.Geom.w + 40, g.Geom.h + 30);
+  check at "move then resize" (200, 180) (pos ());
+  run ctx ~client "f.save f.zoom";
+  let zoomed = pos () in
+  (* Wider than the zoomed frame, so the retitle changes the frame's size. *)
+  Client_app.set_name app (String.make 400 'W');
+  ignore (Wm.step wm);
+  check at "zoom then retitle" zoomed (pos ());
+  (* On a panned virtual desktop, f.stick reparents the frame to the root
+     at its on-glass position. *)
+  let server = Server.create () in
+  let wm = Wm.start ~resources:[ Templates.open_look; "swm*rootPanels:\n" ] server in
+  let ctx = Wm.ctx wm in
+  let app = Stock.xterm server ~at:(Geom.point 56 56) () in
+  ignore (Wm.step wm);
+  let client = client_of wm app in
+  Swm_core.Vdesk.pan_to ctx ~screen:0 (Geom.point 300 200);
+  run ctx ~client "f.stick";
+  let stuck = Server.geometry server client.Ctx.frame in
+  Client_app.set_name app (String.make 200 'W');
+  ignore (Wm.step wm);
+  let g = Server.geometry server client.Ctx.frame in
+  check at "stick then retitle" (stuck.x, stuck.y) (g.x, g.y)
+
 let test_iconify_by_class () =
   let server, wm, ctx = fixture () in
   let t1 = Stock.xterm server () in
@@ -350,6 +394,7 @@ let suite =
   [
     Alcotest.test_case "f.raise / f.lower" `Quick test_raise_lower;
     Alcotest.test_case "f.save f.zoom toggles" `Quick test_save_zoom_restore;
+    Alcotest.test_case "a moved frame stays put" `Quick test_moved_frame_stays_put;
     Alcotest.test_case "class invocation mode" `Quick test_iconify_by_class;
     Alcotest.test_case "multiple with confirmation" `Quick test_multiple_with_confirm;
     Alcotest.test_case "#id invocation mode" `Quick test_window_id_target;

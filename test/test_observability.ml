@@ -20,6 +20,7 @@ module Wm = Swm_core.Wm
 module Ctx = Swm_core.Ctx
 module Vdesk = Swm_core.Vdesk
 module Swmcmd = Swm_core.Swmcmd
+module Functions = Swm_core.Functions
 module Templates = Swm_core.Templates
 module Client_app = Swm_clients.Client_app
 module Stock = Swm_clients.Stock
@@ -824,6 +825,61 @@ let test_f_waterfall () =
   check Alcotest.bool "missing argument is reported" true
     (Json.member "error" err <> None)
 
+(* The crash report carries the WM's dispatch ring, rendered by the same
+   code as f.waterfall: the same seqs in the same order, and no per-event
+   recorder entries beside it.  With the ledger disarmed there are no
+   dispatch records to carry. *)
+let test_crash_report_carries_dispatches () =
+  let seqs what l =
+    match Json.to_list l with
+    | Some entries ->
+        List.map
+          (fun e ->
+            match Json.to_int (member_exn what "seq" e) with
+            | Some n -> n
+            | None -> Alcotest.failf "%s: seq is not a number" what)
+          entries
+    | None -> Alcotest.failf "%s: not a list" what
+  in
+  let report server =
+    parse_ok "crash report"
+      (Recorder.dump_json (Server.recorder server) ~reason:"test"
+         ~metrics:(Server.metrics server) ~tracer:(Server.tracer server))
+  in
+  let server, wm, ctx = fixture () in
+  Recorder.start (Server.recorder server);
+  let app = Stock.xterm server () in
+  ignore (Wm.step wm);
+  Client_app.set_name app "renamed";
+  let sender = Server.connect server ~name:"swmcmd" in
+  Swmcmd.send server sender ~screen:0 "f.panTo(100,100)";
+  ignore (Wm.step wm);
+  let path = tmp_path "dispatches.json" in
+  (match
+     Functions.execute_string ctx (Functions.invocation ~screen:0 ())
+       (Printf.sprintf "f.waterfall(%s)" path)
+   with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "f.waterfall: %s" msg);
+  let waterfall =
+    parse_ok "waterfall" (In_channel.with_open_text path In_channel.input_all)
+  in
+  Sys.remove path;
+  let crash = report server in
+  let expected = seqs "waterfall" (member_exn "waterfall" "waterfall" waterfall) in
+  check Alcotest.bool "the session dispatched events" true (expected <> []);
+  check Alcotest.(list int) "dispatches = f.waterfall, in order" expected
+    (seqs "dispatches" (member_exn "report" "dispatches" crash));
+  check Alcotest.bool "no recorder entry of kind event" false
+    (List.exists (fun e -> entry_kind e = "event") (entries_of_report crash));
+  let server, wm, _ctx = fixture () in
+  Server.set_ledger server false;
+  Recorder.start (Server.recorder server);
+  let _app = Stock.xterm server () in
+  ignore (Wm.step wm);
+  check Alcotest.(list int) "disarmed ledger: no dispatches" []
+    (seqs "dispatches" (member_exn "report" "dispatches" (report server)))
+
 (* -------- sticky absolute placement (satellite a) -------- *)
 
 let test_sticky_usposition_is_root_absolute () =
@@ -884,6 +940,8 @@ let suite =
     Alcotest.test_case "f.fate lists fates with lineage" `Quick test_f_fate;
     Alcotest.test_case "f.waterfall links events to effects" `Quick
       test_f_waterfall;
+    Alcotest.test_case "crash report dispatches match f.waterfall" `Quick
+      test_crash_report_carries_dispatches;
     Alcotest.test_case "sticky USPosition is root-absolute" `Quick
       test_sticky_usposition_is_root_absolute;
   ]

@@ -114,6 +114,45 @@ let test_index_ops_across_growth () =
   check Alcotest.(list int) "final order" [ 3; 4; 5; 6; 8; 9; 10; 11; 99 ]
     (drain r)
 
+(* The bounded (overwrite) mode against a plain list model: random push and
+   clear sequences on capacities 1..9, non-powers of two included.  After
+   every op the contents (oldest first), [total] and [dropped] must match. *)
+type op = Push of int | Clear
+
+let prop_bounded_matches_model =
+  let op_gen =
+    QCheck2.Gen.(
+      frequency [ (9, map (fun x -> Push x) (int_bound 999)); (1, pure Clear) ])
+  in
+  QCheck2.Test.make ~name:"bounded ring matches a list model" ~count:300
+    QCheck2.Gen.(pair (int_range 1 9) (list_size (int_bound 40) op_gen))
+    (fun (cap, ops) ->
+      let r = Ring.bounded cap in
+      let step (model, total, dropped) = function
+        | Clear ->
+            Ring.clear r;
+            ([], 0, 0)
+        | Push x ->
+            Ring.push r x;
+            let model = model @ [ x ] in
+            if List.length model > cap then (List.tl model, total + 1, dropped + 1)
+            else (model, total + 1, dropped)
+      in
+      let agrees (model, total, dropped) =
+        Ring.to_list r = model
+        && Ring.length r = List.length model
+        && Ring.total r = total
+        && Ring.dropped r = dropped
+        && Ring.capacity r = cap
+      in
+      let rec go state = function
+        | [] -> true
+        | op :: rest ->
+            let state = step state op in
+            agrees state && go state rest
+      in
+      go ([], 0, 0) ops)
+
 let suite =
   [
     Alcotest.test_case "get: logical indexing" `Quick test_get_basics;
@@ -126,4 +165,5 @@ let suite =
       test_remove_out_of_range;
     Alcotest.test_case "index ops survive growth" `Quick
       test_index_ops_across_growth;
+    QCheck_alcotest.to_alcotest prop_bounded_matches_model;
   ]

@@ -349,7 +349,7 @@ let test_health_state_machine () =
   done;
   check Alcotest.bool "calm ticks recover" true !recovered;
   check Alcotest.string "healthy again" "healthy"
-    (Health.state_name h.Health.state)
+    (Health.state_name (Health.state h))
 
 let test_flooder_quarantined_then_evicted () =
   let server = Server.create () in
