@@ -166,25 +166,42 @@ let bench_panner () =
         { Workload.default_params with count = n; area = (3000, 2400) }
     in
     ignore (Wm.step wm);
-    (ctx, n)
+    (* Each run pans to the other of two viewports, then refreshes. *)
+    let flip = ref false in
+    let pan () =
+      flip := not !flip;
+      Vdesk.pan_to ctx ~screen:0
+        (if !flip then Geom.point 1200 900 else Geom.point 0 0)
+    in
+    pan ();
+    let before = Server.request_count server in
+    Panner.refresh ctx ~screen:0;
+    (n, Server.request_count server - before, pan, ctx)
   in
   let fixtures = List.map mk [ 5; 25; 100 ] in
+  let name n = Printf.sprintf "fig3/panner-pan-refresh-%03d" n in
   let tests =
     List.map
-      (fun (ctx, n) ->
-        Test.make
-          ~name:(Printf.sprintf "fig3/panner-refresh-%03d" n)
-          (Staged.stage (fun () -> Panner.refresh ctx ~screen:0)))
+      (fun (n, _, pan, ctx) ->
+        Test.make ~name:(name n)
+          (Staged.stage (fun () ->
+               pan ();
+               Panner.refresh ctx ~screen:0)))
       fixtures
   in
   let results =
     report ~experiment:"F3: Virtual Desktop panner (Figure 3)"
-      ~claim:"the panner shows a miniature of every window; refresh scales with N"
+      ~claim:"the panner shows a miniature of every window; a pan moves one outline"
       (run_tests tests)
   in
-  let t5 = find "fig3/panner-refresh-005" results
-  and t100 = find "fig3/panner-refresh-100" results in
-  verdict "refresh(100 windows) / refresh(5 windows) = %.1fx" (t100 /. t5)
+  verdict "pan + refresh time, and requests per refresh: %s"
+    (String.concat ", "
+       (List.map
+          (fun (n, requests, _, _) ->
+            Format.asprintf "N=%d %a %d req" n pp_ns (find (name n) results) requests)
+          fixtures));
+  verdict "refresh(100 windows) / refresh(5 windows) = %.1fx"
+    (find (name 100) results /. find (name 5) results)
 
 (* -------- E1: toolkit-based swm vs direct twm vs interpreted gwm -------- *)
 

@@ -20,6 +20,7 @@ type client = {
   mutable icon_pos : Geom.point option;
   mutable holder : holder option;
   mutable wm_name : string;
+  mutable panner_mini : Xid.t; (* its miniature in the panner, or Xid.none *)
 }
 
 and holder = {
@@ -58,6 +59,7 @@ and vdesk = {
   mutable vsize : int * int;
   mutable panner_client : Xid.t;
   mutable panner_scale : int;
+  mutable panner_outline : Xid.t; (* the viewport outline, or Xid.none *)
 }
 
 (* Degradation tiers: under load the WM sheds its own discretionary work
@@ -107,7 +109,7 @@ type t = {
   clients : client Xid.Tbl.t;
   frames : client Xid.Tbl.t;
   corners : client Xid.Tbl.t;
-  panner_minis : client Xid.Tbl.t;
+  panner_minis : client Xid.Tbl.t; (* miniature -> its client *)
   session : Session.table;
   binding_cache : (string, Bindings.binding list) Hashtbl.t;
   mutable mode : mode;
@@ -206,6 +208,10 @@ let client_scope client =
   }
 
 let frame_geometry ctx client = Server.geometry ctx.server client.frame
+
+let place ctx win geom =
+  if not (Geom.rect_equal (Server.geometry ctx.server win) geom) then
+    Server.move_resize ctx.server ctx.conn win geom
 
 let log_src = Logs.Src.create "swm" ~doc:"swm window manager"
 

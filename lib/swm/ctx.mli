@@ -30,6 +30,8 @@ type client = {
   mutable icon_pos : Geom.point option;
   mutable holder : holder option;
   mutable wm_name : string;
+  mutable panner_mini : Xid.t;
+      (** its miniature in the panner (a key of [panner_minis]), or none *)
 }
 
 and holder = {
@@ -73,6 +75,7 @@ and vdesk = {
   mutable vsize : int * int;
   mutable panner_client : Xid.t;  (** the panner's client window, or none *)
   mutable panner_scale : int;
+  mutable panner_outline : Xid.t;  (** the panner's viewport outline, or none *)
 }
 
 type tier =
@@ -239,6 +242,10 @@ val client_scope : client -> Config.client_scope
 
 val frame_geometry : t -> client -> Geom.rect
 (** The frame's geometry relative to its current parent (desktop or root). *)
+
+val place : t -> Xid.t -> Geom.rect -> unit
+(** Move/resize a WM-owned window to [geom]: one ConfigureWindow, and
+    none when it is already there. *)
 
 val log_src : Logs.src
 (** The [Logs] source ("swm"); set its level to [Debug] to trace manage /

@@ -75,79 +75,148 @@ let is_panner (ctx : Ctx.t) (client : Ctx.client) =
   | Some vdesk -> Xid.equal vdesk.panner_client client.cwin
   | None -> false
 
-let clear_miniatures (ctx : Ctx.t) ~screen =
+(* The client whose frame is [frame], when it shows a miniature: a client
+   on the current desktop has one unless it is sticky, iconic or the
+   panner itself. *)
+let shown (ctx : Ctx.t) ~screen frame =
+  match Xid.Tbl.find_opt ctx.frames frame with
+  | Some (client : Ctx.client)
+    when client.screen = screen && (not client.sticky) && client.state = Prop.Normal
+         && not (is_panner ctx client) ->
+      Some client
+  | Some _ | None -> None
+
+let scaled scale (g : Geom.rect) =
+  Geom.rect (g.x / scale) (g.y / scale) (max 1 (g.w / scale)) (max 1 (g.h / scale))
+
+let remove_miniature (ctx : Ctx.t) (client : Ctx.client) =
+  let mini = client.panner_mini in
+  if not (Xid.is_none mini) then begin
+    client.panner_mini <- Xid.none;
+    Xid.Tbl.remove ctx.panner_minis mini;
+    if Server.window_exists ctx.server mini then Server.destroy_window ctx.server mini
+  end
+
+(* Destroy the miniatures of clients that left the current desktop
+   (unmanaged, iconified, made sticky, sent to another desktop) and forget
+   those whose window is gone. *)
+let remove_stale (ctx : Ctx.t) (vdesk : Ctx.vdesk) ~screen =
+  let desk = vdesk.vwins.(vdesk.current) in
+  let stays mini (client : Ctx.client) =
+    Server.window_exists ctx.server mini
+    && Server.window_exists ctx.server client.frame
+    && Xid.equal (Server.parent_of ctx.server client.frame) desk
+    &&
+    match shown ctx ~screen client.frame with
+    | Some c -> c == client
+    | None -> false
+  in
   let stale =
     Xid.Tbl.fold
-      (fun mini (c : Ctx.client) acc ->
-        if c.screen = screen then mini :: acc else acc)
+      (fun mini (client : Ctx.client) acc ->
+        if client.screen <> screen || stays mini client then acc else client :: acc)
       ctx.panner_minis []
   in
-  List.iter
-    (fun mini ->
-      Xid.Tbl.remove ctx.panner_minis mini;
-      if Server.window_exists ctx.server mini then
-        Server.destroy_window ctx.server mini)
-    stale
+  List.iter (remove_miniature ctx) stale
 
-(* Rebuild the scrollbars, the viewport outline and one miniature per
-   desktop client. *)
+(* [keep.(i)] for the members of one longest strictly increasing
+   subsequence of [a] (patience sorting, O(n log n)). *)
+let longest_increasing (a : int array) =
+  let n = Array.length a in
+  let tails = Array.make n 0 and prev = Array.make n (-1) and len = ref 0 in
+  for i = 0 to n - 1 do
+    let lo = ref 0 and hi = ref !len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if a.(tails.(mid)) < a.(i) then lo := mid + 1 else hi := mid
+    done;
+    if !lo > 0 then prev.(i) <- tails.(!lo - 1);
+    tails.(!lo) <- i;
+    if !lo = !len then incr len
+  done;
+  let keep = Array.make n false in
+  let i = ref (if !len = 0 then -1 else tails.(!len - 1)) in
+  while !i >= 0 do
+    keep.(!i) <- true;
+    i := prev.(!i)
+  done;
+  keep
+
+(* Restack [want] (bottom to top) with the fewest ConfigureWindows: the
+   longest run already in the wanted relative order stays, and every other
+   window goes directly above its wanted predecessor (or, for the first,
+   to the bottom). *)
+let restack (ctx : Ctx.t) ~children want =
+  let pos = Xid.Tbl.create 64 in
+  List.iteri (fun i w -> Xid.Tbl.replace pos w i) children;
+  let keep = longest_increasing (Array.map (Xid.Tbl.find pos) want) in
+  Array.iteri
+    (fun i w ->
+      if not keep.(i) then
+        if i = 0 then Server.lower_window ctx.server ctx.conn w
+        else
+          Server.configure_window ctx.server ctx.conn w
+            { Event.no_changes with cstack = Some Event.Above; csibling = Some want.(i - 1) })
+    want
+
+(* Bring the scrollbars, the viewport outline and the miniatures up to
+   date with the current state, issuing requests only for what differs:
+   one ConfigureWindow per moved window, a create per new miniature, a
+   destroy per stale one, and restacking only when the order is off. *)
 let redraw (ctx : Ctx.t) ~screen =
   Scrollbar.refresh ctx ~screen;
   match vdesk_of ctx ~screen with
   | None -> ()
-  | Some vdesk when Xid.is_none vdesk.panner_client -> ()
   | Some vdesk ->
-      if Server.window_exists ctx.server vdesk.panner_client then begin
-        clear_miniatures ctx ~screen;
-        (* Drop any previous outline children owned by us on the panner. *)
-        List.iter
-          (fun child ->
-            if not (Xid.Tbl.mem ctx.panner_minis child) then
-              Server.destroy_window ctx.server child)
-          (Server.children_of ctx.server vdesk.panner_client);
+      remove_stale ctx vdesk ~screen;
+      let panner = vdesk.panner_client in
+      if (not (Xid.is_none panner)) && Server.window_exists ctx.server panner then begin
         let scale = vdesk.panner_scale in
-        (* Viewport outline first, so the miniatures stack above it and
-           receive their own button presses. *)
-        let vp = Vdesk.viewport ctx ~screen in
-        let outline =
-          Server.create_window ctx.server ctx.conn ~parent:vdesk.panner_client
-            ~geom:
-              (Geom.rect (vp.x / scale) (vp.y / scale)
-                 (max 1 (vp.w / scale))
-                 (max 1 (vp.h / scale)))
-            ~border:1 ()
-        in
-        Server.map_window ctx.server ctx.conn outline;
-        (* One miniature per non-sticky, non-iconic client on the desktop,
-           created bottom-to-top so the panner mirrors the stacking order. *)
-        let stacked_clients =
+        let vp = scaled scale (Vdesk.viewport ctx ~screen) in
+        if
+          Xid.is_none vdesk.panner_outline
+          || not (Server.window_exists ctx.server vdesk.panner_outline)
+        then begin
+          let outline =
+            Server.create_window ctx.server ctx.conn ~parent:panner ~geom:vp ~border:1 ()
+          in
+          Server.map_window ctx.server ctx.conn outline;
+          vdesk.panner_outline <- outline
+        end
+        else Ctx.place ctx vdesk.panner_outline vp;
+        let minis =
           List.filter_map
-            (fun frame -> Xid.Tbl.find_opt ctx.frames frame)
+            (fun frame ->
+              match shown ctx ~screen frame with
+              | None -> None
+              | Some client ->
+                  let geom = scaled scale (Server.geometry ctx.server frame) in
+                  if Xid.is_none client.panner_mini then begin
+                    let mini =
+                      Server.create_window ctx.server ctx.conn ~parent:panner ~geom
+                        ~background:'m' ()
+                    in
+                    Server.select_input ctx.server ctx.conn mini
+                      [ Event.Button_press_mask; Event.Button_release_mask ];
+                    Server.map_window ctx.server ctx.conn mini;
+                    client.panner_mini <- mini;
+                    Xid.Tbl.replace ctx.panner_minis mini client
+                  end
+                  else Ctx.place ctx client.panner_mini geom;
+                  Some client.panner_mini)
             (Server.children_of ctx.server vdesk.vwins.(vdesk.current))
         in
-        List.iter
-          (fun (client : Ctx.client) ->
-            if
-              client.screen = screen && (not client.sticky)
-              && client.state = Prop.Normal
-              && not (is_panner ctx client)
-            then begin
-              let geom = Server.geometry ctx.server client.frame in
-              let mini =
-                Server.create_window ctx.server ctx.conn
-                  ~parent:vdesk.panner_client
-                  ~geom:
-                    (Geom.rect (geom.x / scale) (geom.y / scale)
-                       (max 1 (geom.w / scale))
-                       (max 1 (geom.h / scale)))
-                  ~background:'m' ()
-              in
-              Server.select_input ctx.server ctx.conn mini
-                [ Event.Button_press_mask; Event.Button_release_mask ];
-              Server.map_window ctx.server ctx.conn mini;
-              Xid.Tbl.replace ctx.panner_minis mini client
-            end)
-          stacked_clients
+        (* The outline stays at the bottom, so the miniatures above it
+           receive their own button presses, and the miniatures mirror the
+           desktop's stacking order. *)
+        let want = vdesk.panner_outline :: minis in
+        let children =
+          List.filter
+            (fun w -> Xid.equal w vdesk.panner_outline || Xid.Tbl.mem ctx.panner_minis w)
+            (Server.children_of ctx.server panner)
+        in
+        if not (List.equal Xid.equal children want) then
+          restack ctx ~children (Array.of_list want)
       end
 
 let refresh (ctx : Ctx.t) ~screen =

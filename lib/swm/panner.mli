@@ -19,8 +19,21 @@ val create : Ctx.t -> screen:int -> Swm_xlib.Xid.t option
     Returns the client window, to be managed by {!Wm} like any client. *)
 
 val refresh : Ctx.t -> screen:int -> unit
-(** Rebuild the miniatures and the viewport outline.  Cheap enough to call
-    after every pan/move/manage/unmanage. *)
+(** Bring the scrollbar thumbs, the viewport outline and the miniatures up
+    to date with the current state, in place.  The existing windows are
+    compared with the desktop and only the differences cost requests: one
+    ConfigureWindow for a moved outline, thumb or miniature, a create for
+    each newly eligible client, a destroy for each client that left the
+    current desktop, and restacking (fewest moves) only when the
+    miniatures' order differs from the desktop's stacking order.  A
+    refresh with nothing changed sends no request, and a pan costs the
+    same whatever the number of windows.  The outline stays at the bottom.
+    Being driven by state, not deltas, a refresh repairs whatever earlier
+    refreshes skipped (degraded tiers skip it; see {!Governor}). *)
+
+val remove_miniature : Ctx.t -> Ctx.client -> unit
+(** Destroy the client's miniature, if it has one.  Unmanaging a client
+    calls this in every tier, so a dead client never keeps a miniature. *)
 
 val is_panner : Ctx.t -> Ctx.client -> bool
 

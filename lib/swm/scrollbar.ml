@@ -47,7 +47,7 @@ let refresh (ctx : Ctx.t) ~screen =
           let pos, len =
             thumb_geometry ~bar_len ~desktop_len:dw ~view_pos:vp.x ~view_len:vp.w
           in
-          Server.move_resize ctx.server ctx.conn thumb
+          Ctx.place ctx thumb
             (Geom.rect pos 1 len (bar_thickness - 2))
       | Some _ | None -> ());
       match scr.vbar with
@@ -56,7 +56,7 @@ let refresh (ctx : Ctx.t) ~screen =
           let pos, len =
             thumb_geometry ~bar_len ~desktop_len:dh ~view_pos:vp.y ~view_len:vp.h
           in
-          Server.move_resize ctx.server ctx.conn thumb
+          Ctx.place ctx thumb
             (Geom.rect 1 pos (bar_thickness - 2) len)
       | Some _ | None -> ()
 

@@ -12,7 +12,8 @@ val create : Ctx.t -> screen:int -> unit
     virtual desktop; registers them in the screen state. *)
 
 val refresh : Ctx.t -> screen:int -> unit
-(** Reposition and resize the thumbs after a pan or desktop resize. *)
+(** Reposition and resize the thumbs after a pan or desktop resize; a
+    thumb already in place costs no request. *)
 
 val bar_thickness : int
 

@@ -183,6 +183,7 @@ let manage_inner (ctx : Ctx.t) win =
         icon_pos = (match hint with Some h -> h.icon_geometry | None -> None);
         holder = None;
         wm_name = Icccm.read_name ctx win;
+        panner_mini = Xid.none;
       }
     in
     Xid.Tbl.replace ctx.clients win client;
@@ -240,7 +241,10 @@ let unmanage (ctx : Ctx.t) (client : Ctx.client) ~destroyed =
       Decoration.teardown ctx client ~to_root:(not destroyed));
   Xid.Tbl.remove ctx.clients client.cwin;
   Xid.Tbl.remove ctx.frames client.cwin;
+  (* The miniature goes in every tier: a degraded tier skips the refresh,
+     and a miniature left behind would still start moves of this client. *)
   Xguard.run ctx ~where:"unmanage.refresh" (fun () ->
+      Panner.remove_miniature ctx client;
       Panner.refresh ctx ~screen:client.screen)
 
 (* Manage under guard: the client can disappear between the MapRequest and
