@@ -93,8 +93,9 @@ let () =
   (match Wm.find_client wm (Client_app.window xterm) with
   | Some client -> Icons.iconify ctx client
   | None -> ());
-  Vdesk.pan_by ctx ~screen:0 ~dx:200 ~dy:150;
+  (* Icons.iconify leaves the panner to its caller. *)
   Swm_core.Panner.refresh ctx ~screen:0;
+  Swm_core.Panner.pan_by ctx ~screen:0 ~dx:200 ~dy:150;
   ignore (Wm.step wm);
 
   Printf.printf "panned viewport to %s\n"

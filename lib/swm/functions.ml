@@ -567,15 +567,11 @@ let rec run_data ~depth (ctx : Ctx.t) inv name arg =
       Server.warp_pointer ctx.server ~screen (Geom.point (pos.px + int_arg 0) pos.py)
   | "f.pan" -> (
       match pair_arg () with
-      | Some (dx, dy) ->
-          Vdesk.pan_by ctx ~screen ~dx ~dy;
-          Panner.refresh ctx ~screen
+      | Some (dx, dy) -> Panner.pan_by ctx ~screen ~dx ~dy
       | None -> ())
   | "f.panto" -> (
       match pair_arg () with
-      | Some (x, y) ->
-          Vdesk.pan_to ctx ~screen (Geom.point x y);
-          Panner.refresh ctx ~screen
+      | Some (x, y) -> Panner.pan_to ctx ~screen (Geom.point x y)
       | None -> ())
   | "f.resizedesktop" -> (
       match pair_arg () with

@@ -159,6 +159,14 @@ let restack (ctx : Ctx.t) ~children want =
             { Event.no_changes with cstack = Some Event.Above; csibling = Some want.(i - 1) })
     want
 
+let has_panner (ctx : Ctx.t) (vdesk : Ctx.vdesk) =
+  (not (Xid.is_none vdesk.panner_client))
+  && Server.window_exists ctx.server vdesk.panner_client
+
+let has_outline (ctx : Ctx.t) (vdesk : Ctx.vdesk) =
+  (not (Xid.is_none vdesk.panner_outline))
+  && Server.window_exists ctx.server vdesk.panner_outline
+
 (* Bring the scrollbars, the viewport outline and the miniatures up to
    date with the current state, issuing requests only for what differs:
    one ConfigureWindow per moved window, a create per new miniature, a
@@ -169,14 +177,11 @@ let redraw (ctx : Ctx.t) ~screen =
   | None -> ()
   | Some vdesk ->
       remove_stale ctx vdesk ~screen;
-      let panner = vdesk.panner_client in
-      if (not (Xid.is_none panner)) && Server.window_exists ctx.server panner then begin
+      if has_panner ctx vdesk then begin
+        let panner = vdesk.panner_client in
         let scale = vdesk.panner_scale in
         let vp = scaled scale (Vdesk.viewport ctx ~screen) in
-        if
-          Xid.is_none vdesk.panner_outline
-          || not (Server.window_exists ctx.server vdesk.panner_outline)
-        then begin
+        if not (has_outline ctx vdesk) then begin
           let outline =
             Server.create_window ctx.server ctx.conn ~parent:panner ~geom:vp ~border:1 ()
           in
@@ -219,7 +224,22 @@ let redraw (ctx : Ctx.t) ~screen =
           restack ctx ~children (Array.of_list want)
       end
 
-let refresh (ctx : Ctx.t) ~screen =
+(* After a pan.  A pan moves only the desktop window: frames keep their
+   desktop coordinates and stacking, so no miniature can change, and only
+   the thumbs and the outline follow the viewport.  A missing outline
+   takes the full redraw, which creates it at the bottom. *)
+let redraw_viewport (ctx : Ctx.t) ~screen =
+  match vdesk_of ctx ~screen with
+  | None -> ()
+  | Some vdesk when has_panner ctx vdesk && not (has_outline ctx vdesk) ->
+      redraw ctx ~screen
+  | Some vdesk ->
+      Scrollbar.refresh ctx ~screen;
+      if has_panner ctx vdesk then
+        Ctx.place ctx vdesk.panner_outline
+          (scaled vdesk.panner_scale (Vdesk.viewport ctx ~screen))
+
+let gated draw (ctx : Ctx.t) ~screen =
   if ctx.tier <> Ctx.Tier_full then
     (* Degraded: the panner is a luxury redraw.  The governor re-runs
        refresh on every screen when it restores the full tier. *)
@@ -232,8 +252,18 @@ let refresh (ctx : Ctx.t) ~screen =
    else fun f -> f ())
   @@ fun () ->
   let t0 = Metrics.now_mono_ns () in
-  redraw ctx ~screen;
+  draw ctx ~screen;
   Metrics.observe ctx.h_panner_refresh_ns (Metrics.now_mono_ns () - t0)
+
+let refresh ctx ~screen = gated redraw ctx ~screen
+
+let pan_to ctx ~screen pos =
+  Vdesk.pan_to ctx ~screen pos;
+  gated redraw_viewport ctx ~screen
+
+let pan_by ctx ~screen ~dx ~dy =
+  let o = Vdesk.offset ctx ~screen in
+  pan_to ctx ~screen (Geom.point (o.px + dx) (o.py + dy))
 
 let client_of_miniature (ctx : Ctx.t) win = Xid.Tbl.find_opt ctx.panner_minis win
 
@@ -246,9 +276,7 @@ let desktop_pos_of_panner_pos (ctx : Ctx.t) ~screen pos =
 let pan_to_pointer (ctx : Ctx.t) ~screen ~panner_pos =
   let desktop_pos = desktop_pos_of_panner_pos ctx ~screen panner_pos in
   let sw, sh = Server.screen_size ctx.server ~screen in
-  Vdesk.pan_to ctx ~screen
-    (Geom.point (desktop_pos.px - (sw / 2)) (desktop_pos.py - (sh / 2)));
-  refresh ctx ~screen
+  pan_to ctx ~screen (Geom.point (desktop_pos.px - (sw / 2)) (desktop_pos.py - (sh / 2)))
 
 let panner_resized (ctx : Ctx.t) (client : Ctx.client) (w, h) =
   match vdesk_of ctx ~screen:client.screen with

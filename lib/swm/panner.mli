@@ -26,10 +26,27 @@ val refresh : Ctx.t -> screen:int -> unit
     each newly eligible client, a destroy for each client that left the
     current desktop, and restacking (fewest moves) only when the
     miniatures' order differs from the desktop's stacking order.  A
-    refresh with nothing changed sends no request, and a pan costs the
-    same whatever the number of windows.  The outline stays at the bottom.
-    Being driven by state, not deltas, a refresh repairs whatever earlier
-    refreshes skipped (degraded tiers skip it; see {!Governor}). *)
+    refresh with nothing changed sends no request.  The outline stays at
+    the bottom.  Being driven by state, not deltas, a refresh repairs
+    whatever earlier refreshes skipped (degraded tiers skip it; see
+    {!Governor}).  Every state change but a pan calls it: manage,
+    unmanage, raise or lower, move, desktop switch, desktop resize, a
+    retitle that resized the frame, and the governor's restore. *)
+
+val pan_to : Ctx.t -> screen:int -> Swm_xlib.Geom.point -> unit
+(** Pan the viewport's top-left corner to a desktop position (clamped;
+    {!Vdesk.pan_to}), then move the scrollbar thumbs and the viewport
+    outline after it.  Every pan goes through here: button 1 on the panner
+    or a miniature, a scrollbar press, [f.pan] (through {!pan_by}) and
+    [f.panto].  A pan moves only the desktop window, so frames keep their
+    desktop coordinates and stacking and no miniature can change; none is
+    looked at.  A pan's requests, time and allocation therefore do not
+    depend on the number of windows.  A missing outline is created by a
+    full {!refresh}.  Under a degraded tier the desktop still pans but the
+    views are left for the governor's restore, as with {!refresh}. *)
+
+val pan_by : Ctx.t -> screen:int -> dx:int -> dy:int -> unit
+(** {!pan_to} the current offset moved by [(dx, dy)] ([f.pan]). *)
 
 val remove_miniature : Ctx.t -> Ctx.client -> unit
 (** Destroy the client's miniature, if it has one.  Unmanaging a client
@@ -44,7 +61,8 @@ val desktop_pos_of_panner_pos :
 (** Scale a panner-interior position up to desktop coordinates. *)
 
 val pan_to_pointer : Ctx.t -> screen:int -> panner_pos:Swm_xlib.Geom.point -> unit
-(** Button-1 action: centre the viewport on the pressed desktop position. *)
+(** Button-1 action: centre the viewport on the pressed desktop position,
+    with {!pan_to}. *)
 
 val panner_resized : Ctx.t -> Ctx.client -> int * int -> unit
 (** Resizing the panner resizes the underlying desktop (paper §6.1). *)

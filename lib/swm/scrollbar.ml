@@ -85,27 +85,19 @@ let classify (ctx : Ctx.t) ~screen win =
   else if matches scr.vbar then Some `Vertical
   else None
 
-let handle_press (ctx : Ctx.t) ~screen direction ~bar_pos =
+let press_target (ctx : Ctx.t) ~screen direction ~bar_pos =
   let scr = Ctx.screen ctx screen in
   match scr.vdesk with
-  | None -> ()
-  | Some vdesk ->
+  | None -> None
+  | Some vdesk -> (
       let dw, dh = vdesk.vsize in
       let sw, sh = Server.screen_size ctx.server ~screen in
       let o = Vdesk.offset ctx ~screen in
-      (match direction with
-      | `Horizontal -> (
-          match scr.hbar with
-          | Some (bar, _) ->
-              let bar_len = (Server.geometry ctx.server bar).w in
-              let x = (bar_pos.Geom.px * dw / max 1 bar_len) - (sw / 2) in
-              Vdesk.pan_to ctx ~screen (Geom.point x o.py)
-          | None -> ())
-      | `Vertical -> (
-          match scr.vbar with
-          | Some (bar, _) ->
-              let bar_len = (Server.geometry ctx.server bar).h in
-              let y = (bar_pos.Geom.py * dh / max 1 bar_len) - (sh / 2) in
-              Vdesk.pan_to ctx ~screen (Geom.point o.px y)
-          | None -> ()));
-      refresh ctx ~screen
+      match (direction, scr.hbar, scr.vbar) with
+      | `Horizontal, Some (bar, _), _ ->
+          let bar_len = (Server.geometry ctx.server bar).w in
+          Some (Geom.point ((bar_pos.Geom.px * dw / max 1 bar_len) - (sw / 2)) o.py)
+      | `Vertical, _, Some (bar, _) ->
+          let bar_len = (Server.geometry ctx.server bar).h in
+          Some (Geom.point o.px ((bar_pos.Geom.py * dh / max 1 bar_len) - (sh / 2)))
+      | (`Horizontal | `Vertical), _, _ -> None)

@@ -20,6 +20,12 @@ val bar_thickness : int
 val classify : Ctx.t -> screen:int -> Swm_xlib.Xid.t -> [ `Horizontal | `Vertical ] option
 (** Is this window one of the screen's scrollbars (or its thumb)? *)
 
-val handle_press :
-  Ctx.t -> screen:int -> [ `Horizontal | `Vertical ] -> bar_pos:Swm_xlib.Geom.point -> unit
-(** Button-1: pan so the viewport centres on the pressed bar position. *)
+val press_target :
+  Ctx.t ->
+  screen:int ->
+  [ `Horizontal | `Vertical ] ->
+  bar_pos:Swm_xlib.Geom.point ->
+  Swm_xlib.Geom.point option
+(** Button 1: the viewport origin that centres the viewport on the pressed
+    bar position along the bar's axis (the other axis stays); [None] if
+    the screen has no such bar.  The WM pans there with {!Panner.pan_to}. *)

@@ -37,8 +37,6 @@ val pan_to : Ctx.t -> screen:int -> Swm_xlib.Geom.point -> unit
 (** Pan so the viewport's top-left is at the given desktop coordinate
     (clamped to the desktop bounds).  No-op without a virtual desktop. *)
 
-val pan_by : Ctx.t -> screen:int -> dx:int -> dy:int -> unit
-
 val resize_desktop : Ctx.t -> screen:int -> int * int -> unit
 (** Resizing the panner resizes the underlying desktop at run time (§6.1). *)
 

@@ -501,8 +501,8 @@ let handle_button_press (ctx : Ctx.t) event window button pos root_pos =
                         Server.translate_coordinates ctx.server ~src:window ~dst:bar pos
                     | None -> pos)
               in
-              Scrollbar.handle_press ctx ~screen direction ~bar_pos;
-              Panner.refresh ctx ~screen
+              Option.iter (Panner.pan_to ctx ~screen)
+                (Scrollbar.press_target ctx ~screen direction ~bar_pos)
           | Some _ | None -> (
           match scr.vdesk with
           | Some vdesk when Xid.equal vdesk.panner_client window && button = 1 ->
@@ -596,6 +596,13 @@ let handle_configure_request (ctx : Ctx.t) window (changes : Event.config_change
       if Server.window_exists ctx.server window then
         Server.configure_window ctx.server ctx.conn window changes
 
+let no_frame = Geom.rect 0 0 0 0
+
+let frame_geometry (ctx : Ctx.t) (client : Ctx.client) =
+  if Server.window_exists ctx.server client.frame then
+    Server.geometry ctx.server client.frame
+  else no_frame
+
 let handle_property (ctx : Ctx.t) window name =
   (* The name arriving in the event was interned when the property was
      written, so a single probe resolves it and the comparisons against
@@ -616,7 +623,14 @@ let handle_property (ctx : Ctx.t) window name =
         match Xid.Tbl.find_opt ctx.clients window with
         | None -> ()
         | Some client ->
-            if Atom.equal atom atoms.a_wm_name then Decoration.update_name ctx client
+            if Atom.equal atom atoms.a_wm_name then begin
+              (* A new title can resize the frame, and so its miniature. *)
+              let before = frame_geometry ctx client in
+              Decoration.update_name ctx client;
+              let after = frame_geometry ctx client in
+              if before.w <> after.w || before.h <> after.h then
+                Panner.refresh ctx ~screen:client.screen
+            end
             else if Atom.equal atom atoms.a_wm_icon_name then begin
               match client.icon_obj with
               | Some icon -> (

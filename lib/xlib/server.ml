@@ -229,6 +229,9 @@ type t = {
   mutable next_cid : int;
   mutable pointer_screen : int;
   mutable pointer : Geom.point;
+  mutable under_pointer : Xid.t;
+      (* the window {!window_at_pointer} found, kept until the pointer
+         moves or the window tree changes; [Xid.none] when not known *)
   mutable grab : grab option;
   mutable focus : Xid.t;
   mutable save_sets : (int * Xid.t) list; (* (cid, window) pairs *)
@@ -278,6 +281,11 @@ let lookup server id =
   | Some w -> w
   | None -> raise (Bad_window id)
 
+(* The pointer moved or the window tree changed (a window was created,
+   destroyed, mapped, unmapped, configured, restacked, reparented or
+   reshaped): the window under the pointer must be found again. *)
+let forget_under_pointer server = server.under_pointer <- Xid.none
+
 let create ?(screens = [ default_screen ]) () =
   let alloc = Xid.Alloc.create () in
   let windows = Xid.Tbl.create 256 in
@@ -320,6 +328,7 @@ let create ?(screens = [ default_screen ]) () =
     next_cid = 1;
     pointer_screen = 0;
     pointer = Geom.point 0 0;
+    under_pointer = Xid.none;
     grab = None;
     focus = Xid.none;
     save_sets = [];
@@ -398,7 +407,10 @@ let conn_name conn = conn.cname
    own traffic is excluded twice over — its connection is journal-exempt
    and its dispatch runs under {!with_journal_suspended} — because a
    replay restarts a fresh WM that re-derives all of it.  Fault effects
-   bypass both exclusions: they are inputs too, just hostile ones. *)
+   bypass both exclusions: they are inputs too, just hostile ones.
+
+   Op text is built only once [journaling] (or [conn_journaling]) said
+   yes, so a disarmed recorder costs one flag check per request. *)
 
 let journaling server =
   Recorder.enabled server.s_recorder
@@ -406,20 +418,17 @@ let journaling server =
   && (not server.injecting)
   && not server.journal_busy
 
+let conn_journaling server conn = journaling server && not conn.jexempt
+
 let conn_key conn = Printf.sprintf "%s#%d" conn.cname conn.cid
 
+let journal server op = Recorder.record_op server.s_recorder op
+
 let journal_frame server conn req =
-  if journaling server && not conn.jexempt then
-    Recorder.record_op server.s_recorder
+  if conn_journaling server conn then
+    journal server
       ("frame " ^ conn_key conn ^ " "
       ^ Wire_codec.to_hex (Wire_codec.encode_request req))
-
-let journal_op server op =
-  if journaling server then Recorder.record_op server.s_recorder op
-
-let journal_conn_op server conn op =
-  if journaling server && not conn.jexempt then
-    Recorder.record_op server.s_recorder op
 
 (* Fault effects must reach the journal even when they fire inside WM
    dispatch (suspended) or under the [injecting] guard. *)
@@ -703,6 +712,7 @@ let create_window server conn ~parent ~geom ?(border = 0) ?(override_redirect = 
   in
   Xid.Tbl.replace server.windows id window;
   parent_win.children <- parent_win.children @ [ id ];
+  forget_under_pointer server;
   (* Journalled after allocation so the frame carries the id the session
      actually used — the replay side remaps it if its own allocator
      disagrees (it only can on a minimised subset). *)
@@ -728,14 +738,15 @@ let rec destroy_window server id =
   (match server.grab with
   | Some g when Xid.equal g.gwindow id -> server.grab <- None
   | Some _ | None -> ());
-  Xid.Tbl.remove server.windows id
+  Xid.Tbl.remove server.windows id;
+  forget_under_pointer server
 
 let destroy_window server id =
   bump server;
   let window = lookup server id in
   if Xid.is_none window.parent then invalid_arg "Server.destroy_window: root window"
   else begin
-    journal_op server (Printf.sprintf "destroy %d" (Xid.to_int id));
+    if journaling server then journal server (Printf.sprintf "destroy %d" (Xid.to_int id));
     destroy_window server id
   end
 
@@ -791,47 +802,45 @@ let root_geometry server id =
 
 (* -------- pointer hit-testing -------- *)
 
-(* Topmost viewable descendant containing [point] (window-interior coords of
-   [win]); shape-aware. *)
-let rec descend server win point =
-  let window = lookup server win in
-  let hit =
-    List.fold_left
-      (fun acc child_id ->
-        let child = lookup server child_id in
-        if not child.mapped then acc
-        else begin
-          let full =
-            Geom.rect child.geom.x child.geom.y
-              (child.geom.w + (2 * child.border))
-              (child.geom.h + (2 * child.border))
-          in
-          let inside_shape =
-            match child.shape with
-            | None -> true
-            | Some region ->
-                Region.contains region
-                  (Geom.point
-                     (point.Geom.px - child.geom.x - child.border)
-                     (point.Geom.py - child.geom.y - child.border))
-          in
-          if Geom.contains full point && inside_shape then Some child_id else acc
-        end)
-      None window.children
-  in
-  match hit with
-  | None -> win
-  | Some child_id ->
-      let child = lookup server child_id in
-      descend server child_id
-        (Geom.point
-           (point.Geom.px - child.geom.x - child.border)
-           (point.Geom.py - child.geom.y - child.border))
+(* The topmost mapped child in [children] (bottom to top) whose border
+   box, and shape if any, contains [(x, y)] (coordinates in the parent's
+   interior); [hit] if none does.  The walk goes bottom to top, keeping the
+   last hit, so it runs in constant stack, and nothing is allocated per
+   child: only a shaped child under the point costs a point. *)
+let rec topmost_child server x y hit = function
+  | [] -> hit
+  | id :: rest ->
+      let child = Xid.Tbl.find server.windows id in
+      let g = child.geom and b = child.border in
+      let contains =
+        child.mapped && x >= g.x && y >= g.y
+        && x < g.x + g.w + (2 * b)
+        && y < g.y + g.h + (2 * b)
+        &&
+        match child.shape with
+        | None -> true
+        | Some region -> Region.contains region (Geom.point (x - g.x - b) (y - g.y - b))
+      in
+      topmost_child server x y (if contains then id else hit) rest
 
-let window_at server ~screen point = descend server (root server ~screen) point
+(* Topmost viewable descendant of [win] containing [(x, y)] (window-interior
+   coords of [win]); shape-aware. *)
+let rec descend server win x y =
+  let children = (Xid.Tbl.find server.windows win).children in
+  let hit = topmost_child server x y Xid.none children in
+  if Xid.is_none hit then win
+  else begin
+    let child = Xid.Tbl.find server.windows hit in
+    descend server hit (x - child.geom.x - child.border) (y - child.geom.y - child.border)
+  end
+
+let window_at server ~screen point =
+  descend server (root server ~screen) point.Geom.px point.Geom.py
 
 let window_at_pointer server =
-  window_at server ~screen:server.pointer_screen server.pointer
+  if Xid.is_none server.under_pointer then
+    server.under_pointer <- window_at server ~screen:server.pointer_screen server.pointer;
+  server.under_pointer
 
 (* -------- mapping -------- *)
 
@@ -848,6 +857,7 @@ let map_window server conn id =
     | Some _ | None ->
         if not window.mapped then begin
           window.mapped <- true;
+          forget_under_pointer server;
           structure_notify server window (Event.Map_notify { window = id });
           notify server window Event.Exposure_mask
             (Event.Expose { window = id; damage = None })
@@ -860,6 +870,7 @@ let unmap_window server conn id =
   let window = lookup server id in
   if window.mapped then begin
     window.mapped <- false;
+    forget_under_pointer server;
     structure_notify server window (Event.Unmap_notify { window = id })
   end
 
@@ -898,6 +909,7 @@ let do_configure server window (changes : Event.config_changes) =
   (if not (Xid.is_none window.parent) then
      let parent = lookup server window.parent in
      apply_stacking parent window.id (changes.cstack, changes.csibling));
+  forget_under_pointer server;
   structure_notify server window
     (Event.Configure_notify
        { window = window.id; geom = window.geom; border = window.border; synthetic = false })
@@ -952,6 +964,7 @@ let reparent_window server conn id ~new_parent ~pos =
   window.parent <- new_parent;
   window.geom <- { window.geom with x = pos.Geom.px; y = pos.Geom.py };
   target.children <- target.children @ [ id ];
+  forget_under_pointer server;
   (* Reparenting across screens moves the whole subtree. *)
   if window.screen <> target.screen then begin
     let rec reset_screen wid =
@@ -994,7 +1007,7 @@ let rec has_ancestor_owned_by server id cid =
 
 let disconnect server conn =
   bump server;
-  journal_conn_op server conn ("kill " ^ conn_key conn);
+  if conn_journaling server conn then journal server ("kill " ^ conn_key conn);
   let was_busy = server.journal_busy in
   server.journal_busy <- true;
   Fun.protect ~finally:(fun () -> server.journal_busy <- was_busy) @@ fun () ->
@@ -1033,6 +1046,7 @@ let disconnect server conn =
           ~pos:(Geom.point abs.x abs.y);
         if not window.mapped then begin
           window.mapped <- true;
+          forget_under_pointer server;
           structure_notify server window (Event.Map_notify { window = id })
         end
       end)
@@ -1082,10 +1096,11 @@ let change_property server conn id ~name value =
   | Prop.String s ->
       journal_frame server conn (Wire_codec.Change_property { window = id; name; value = s })
   | v ->
-      journal_conn_op server conn
-        (Printf.sprintf "prop %s %d %s %s" (conn_key conn) (Xid.to_int id)
-           (Wire_codec.to_hex name)
-           (Wire_codec.to_hex (Prop.value_to_text v))));
+      if conn_journaling server conn then
+        journal server
+          (Printf.sprintf "prop %s %d %s %s" (conn_key conn) (Xid.to_int id)
+             (Wire_codec.to_hex name)
+             (Wire_codec.to_hex (Prop.value_to_text v))));
   Hashtbl.replace window.props atom value;
   notify server window Event.Property_change
     (Event.Property_notify { window = id; name; deleted = false })
@@ -1245,18 +1260,20 @@ let drain_events conn = flush_batch conn
    selectors; overlapping damage coalesces in their queues. *)
 let damage_window server id rect =
   bump server;
-  journal_op server
-    (Printf.sprintf "damage %d %d %d %d %d" (Xid.to_int id) rect.Geom.x rect.Geom.y
-       rect.Geom.w rect.Geom.h);
+  if journaling server then
+    journal server
+      (Printf.sprintf "damage %d %d %d %d %d" (Xid.to_int id) rect.Geom.x rect.Geom.y
+         rect.Geom.w rect.Geom.h);
   let window = lookup server id in
   notify server window Event.Exposure_mask
     (Event.Expose { window = id; damage = Some rect })
 
 let send_event server conn ~dest event =
   bump server;
-  journal_conn_op server conn
-    (Printf.sprintf "send %s %d %s" (conn_key conn) (Xid.to_int dest)
-       (Wire_codec.to_hex (Wire_codec.encode_event event)));
+  if conn_journaling server conn then
+    journal server
+      (Printf.sprintf "send %s %d %s" (conn_key conn) (Xid.to_int dest)
+         (Wire_codec.to_hex (Wire_codec.encode_event event)));
   let window = lookup server dest in
   deliver server window.owner event;
   List.iter
@@ -1272,12 +1289,7 @@ let pointer_screen server = server.pointer_screen
    grabbing client; otherwise propagate from the window under the pointer up
    the ancestor chain to the first window where someone selected [mask]. *)
 let deliver_device server mask make_event =
-  let root_pos =
-    translate_coordinates server
-      ~src:(root server ~screen:server.pointer_screen)
-      ~dst:(root server ~screen:server.pointer_screen)
-      server.pointer
-  in
+  let root_pos = server.pointer in
   match server.grab with
   | Some g ->
       let window = lookup server g.gwindow in
@@ -1311,11 +1323,12 @@ let rec ancestor_chain server id acc =
 
 let warp_pointer server ~screen point =
   bump server;
-  journal_op server
-    (Printf.sprintf "warp %d %d %d" screen point.Geom.px point.Geom.py);
+  if journaling server then
+    journal server (Printf.sprintf "warp %d %d %d" screen point.Geom.px point.Geom.py);
   let before = window_at_pointer server in
   server.pointer_screen <- screen;
   server.pointer <- point;
+  forget_under_pointer server;
   let after = window_at_pointer server in
   if not (Xid.equal before after) then begin
     (* X crossing semantics: Leave events from the old window up to (but
@@ -1348,20 +1361,22 @@ let warp_pointer server ~screen point =
 
 let press_button server ?(mods = Keysym.no_mods) button =
   bump server;
-  journal_op server (Printf.sprintf "press %d %d" button (mods_bits mods));
+  if journaling server then
+    journal server (Printf.sprintf "press %d %d" button (mods_bits mods));
   deliver_device server Event.Button_press_mask (fun window pos root_pos ->
       Event.Button_press { window; button; mods; pos; root_pos })
 
 let release_button server ?(mods = Keysym.no_mods) button =
   bump server;
-  journal_op server (Printf.sprintf "release %d %d" button (mods_bits mods));
+  if journaling server then
+    journal server (Printf.sprintf "release %d %d" button (mods_bits mods));
   deliver_device server Event.Button_release_mask (fun window pos root_pos ->
       Event.Button_release { window; button; mods; pos; root_pos })
 
 let press_key server ?(mods = Keysym.no_mods) keysym =
   bump server;
-  journal_op server
-    (Printf.sprintf "key %s %d" (Wire_codec.to_hex keysym) (mods_bits mods));
+  if journaling server then
+    journal server (Printf.sprintf "key %s %d" (Wire_codec.to_hex keysym) (mods_bits mods));
   deliver_device server Event.Key_press_mask (fun window pos root_pos ->
       Event.Key_press { window; keysym; mods; pos; root_pos })
 
@@ -1405,13 +1420,15 @@ let shape_set server conn id region =
   bump server;
   journal_frame server conn
     (Wire_codec.Shape_rectangles { window = id; rects = Region.rects region });
-  (lookup server id).shape <- Some region
+  (lookup server id).shape <- Some region;
+  forget_under_pointer server
 
 let shape_clear server conn id =
   bump server;
-  journal_conn_op server conn
-    (Printf.sprintf "shapeclear %d" (Xid.to_int id));
-  (lookup server id).shape <- None
+  if conn_journaling server conn then
+    journal server (Printf.sprintf "shapeclear %d" (Xid.to_int id));
+  (lookup server id).shape <- None;
+  forget_under_pointer server
 
 let shape_get server id = (lookup server id).shape
 let is_shaped server id = (lookup server id).shape <> None

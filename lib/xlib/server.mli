@@ -238,9 +238,16 @@ val warp_pointer : t -> screen:int -> Geom.point -> unit
 
 val window_at_pointer : t -> Xid.t
 (** The topmost viewable window containing the pointer (shape-aware);
-    the root window if nothing else matches. *)
+    the root window if nothing else matches.  Like a real server's sprite
+    window, the result is stored: the tree is walked again only after the
+    pointer moved (a warp) or the window tree changed (a window created,
+    destroyed, mapped, unmapped, configured or restacked, reparented, or
+    its shape set or cleared), each of which clears the stored window.
+    Pointer input after a warp therefore walks nothing. *)
 
 val window_at : t -> screen:int -> Geom.point -> Xid.t
+(** The topmost viewable window containing the point (shape-aware), found
+    afresh on every call; nothing is stored. *)
 
 val press_button : t -> ?mods:Keysym.modifiers -> int -> unit
 val release_button : t -> ?mods:Keysym.modifiers -> int -> unit

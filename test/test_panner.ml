@@ -192,12 +192,13 @@ let requests_during server f =
   f ();
   Server.request_count server - before
 
-(* [n] managed xterms spread over the whole desktop. *)
-let spread_clients server wm n =
+(* [n] managed xterms spread over [area] (by default the whole desktop). *)
+let spread_clients ?(area = (3000, 2400)) server wm n =
+  let aw, ah = area in
   let apps =
     List.init n (fun i ->
         Stock.xterm server
-          ~at:(Geom.point (i * 131 mod 3000) (i * 97 mod 2400))
+          ~at:(Geom.point (i * 131 mod aw) (i * 97 mod ah))
           ~instance:(Printf.sprintf "x%d" i) ())
   in
   ignore (Wm.step wm);
@@ -215,6 +216,38 @@ let press_panner server wm ctx (desk : Geom.point) =
       Server.press_button server 1;
       ignore (Wm.step wm))
 
+let run_fn ctx ?client fname farg =
+  Functions.execute ctx
+    (Functions.invocation ?client ~screen:0 ())
+    [ { Swm_core.Bindings.fname; farg } ]
+
+(* A whole button-1 pan as perfbench's [pan] runs it: warp into the panner
+   over desktop position [desk], press, release, one WM step. *)
+let button1_pan server wm ctx (desk : Geom.point) =
+  let origin = Server.root_geometry server (panner_client ctx wm).Ctx.cwin in
+  Server.warp_pointer server ~screen:0
+    (Geom.point (origin.x + (desk.px / 24)) (origin.y + (desk.py / 24)));
+  Server.press_button server 1;
+  Server.release_button server 1;
+  ignore (Wm.step wm)
+
+(* Requests and minor words of [pan ()], each the minimum over 8 identical
+   runs after one warm-up.  [away ()] (untimed) pans elsewhere first, so
+   every timed pan moves the viewport the same way. *)
+let steady_cost server ~away pan =
+  let once () =
+    away ();
+    let r0 = Server.request_count server and w0 = Gc.minor_words () in
+    pan ();
+    let w1 = Gc.minor_words () in
+    (Server.request_count server - r0, w1 -. w0)
+  in
+  ignore (once ());
+  List.fold_left
+    (fun (r, w) (r', w') -> (min r r', Float.min w w'))
+    (max_int, Float.infinity)
+    (List.init 8 (fun _ -> once ()))
+
 let test_pan_cost_independent_of_clients () =
   let pan_cost n =
     let server, wm, ctx = fixture () in
@@ -223,7 +256,30 @@ let test_pan_cost_independent_of_clients () =
     check Alcotest.bool "the desktop panned" true ((Vdesk.offset ctx ~screen:0).px > 0);
     cost
   in
-  check Alcotest.int "requests per pan, 10 vs 100 clients" (pan_cost 10) (pan_cost 100)
+  check Alcotest.int "requests per pan, 10 vs 100 clients" (pan_cost 10) (pan_cost 100);
+  let button1 n =
+    (* The clients keep to the left, so both presses land on the panner
+       itself, not on a miniature, whatever [n] is. *)
+    let server, wm, ctx = fixture () in
+    ignore (spread_clients ~area:(1400, 2300) server wm n);
+    steady_cost server
+      ~away:(fun () -> button1_pan server wm ctx (Geom.point 2500 600))
+      (fun () -> button1_pan server wm ctx (Geom.point 3000 2300))
+  in
+  let panto n =
+    let server, wm, ctx = fixture ~extra:"swm*scrollbars: True\n" () in
+    ignore (spread_clients server wm n);
+    steady_cost server
+      ~away:(fun () -> run_fn ctx "f.panto" (Some "100,80"))
+      (fun () -> run_fn ctx "f.panto" (Some "1900,1500"))
+  in
+  List.iter
+    (fun (what, cost) ->
+      let r10, w10 = cost 10 and r100, w100 = cost 100 in
+      check Alcotest.bool (what ^ " sends requests") true (r10 > 0);
+      check Alcotest.int (what ^ ": requests, 10 vs 100 clients") r10 r100;
+      check (Alcotest.float 0.) (what ^ ": minor words, 10 vs 100 clients") w10 w100)
+    [ ("button-1 pan", button1); ("f.panto with scrollbars", panto) ]
 
 let test_miniatures_survive_pan () =
   let server, wm, ctx = fixture () in
@@ -261,10 +317,22 @@ let test_one_move_one_request () =
        (Server.geometry server client.Ctx.panner_mini)
        (Geom.rect (g.x / 24) (g.y / 24) (g.w / 24) (g.h / 24)))
 
-let run_fn ctx ?client fname farg =
-  Functions.execute ctx
-    (Functions.invocation ?client ~screen:0 ())
-    [ { Swm_core.Bindings.fname; farg } ]
+(* A wider title widens the frame, and the WM moves the miniature after
+   it by itself: no later pan repairs it. *)
+let test_retitle_resizes_miniature () =
+  let server, wm, _ = fixture () in
+  let apps = spread_clients server wm 3 in
+  let app = List.nth apps 1 in
+  let client = client_of wm app in
+  let before = Server.geometry server client.Ctx.frame in
+  Client_app.set_name app (String.make 400 'W');
+  ignore (Wm.step wm);
+  let g = Server.geometry server client.Ctx.frame in
+  check Alcotest.bool "the frame widened" true (g.w / 24 > before.w / 24);
+  check Alcotest.bool "miniature at frame/scale" true
+    (Geom.rect_equal
+       (Server.geometry server client.Ctx.panner_mini)
+       (Geom.rect (g.x / 24) (g.y / 24) (g.w / 24) (g.h / 24)))
 
 (* Raising or lowering one window moves its frame and its miniature: one
    request each, however many miniatures there are. *)
@@ -323,6 +391,12 @@ type op =
   | Pan of int * int
   | Desktop of int
   | Destroy of int
+  | Press_panner of int * int  (* button 1 at a panner-interior position *)
+  | Press_mini of int  (* button 1 on a client's miniature *)
+  | Press_bar of bool * int  (* button 1 along the horizontal (true) or vertical bar *)
+  | F_pan of int * int
+  | F_panto of int * int
+  | Retitle of int * int  (* a new WM_NAME of that many characters *)
   | Reduced of op  (* the op, while the reduced tier skips panner refreshes *)
 
 let rec show_op = function
@@ -337,6 +411,12 @@ let rec show_op = function
   | Pan (x, y) -> Printf.sprintf "pan %d,%d" x y
   | Desktop n -> Printf.sprintf "desktop %d" n
   | Destroy i -> Printf.sprintf "destroy #%d" i
+  | Press_panner (x, y) -> Printf.sprintf "button 1 in the panner at %d,%d" x y
+  | Press_mini i -> Printf.sprintf "button 1 on miniature #%d" i
+  | Press_bar (h, t) -> Printf.sprintf "button 1 on the %s bar at %d" (if h then "h" else "v") t
+  | F_pan (dx, dy) -> Printf.sprintf "f.pan %d,%d" dx dy
+  | F_panto (x, y) -> Printf.sprintf "f.panto %d,%d" x y
+  | Retitle (i, n) -> Printf.sprintf "retitle #%d to %d chars" i n
   | Reduced op -> "reduced (" ^ show_op op ^ ")"
 
 let op_gen =
@@ -356,6 +436,12 @@ let op_gen =
         (2, map2 (fun x y -> Pan (x, y)) x y);
         (1, map (fun n -> Desktop n) (int_bound 1));
         (1, map (fun i -> Destroy i) idx);
+        (2, map2 (fun x y -> Press_panner (x, y)) (int_bound 143) (int_bound 111));
+        (1, map (fun i -> Press_mini i) idx);
+        (1, map2 (fun h t -> Press_bar (h, t)) bool (int_bound 1200));
+        (1, map2 (fun dx dy -> F_pan (dx, dy)) (int_range (-1500) 1500) (int_range (-1500) 1500));
+        (1, map2 (fun x y -> F_panto (x, y)) x y);
+        (2, map2 (fun i n -> Retitle (i, n)) idx (int_range 1 400));
       ]
   in
   frequency [ (5, base); (1, map (fun op -> Reduced op) base) ]
@@ -384,6 +470,27 @@ let model server ctx =
   in
   (scaled (Vdesk.viewport ctx ~screen:0), shown)
 
+(* The scrollbar thumbs show the viewport's slice of the desktop. *)
+let thumbs_match_model server ctx =
+  let scr = Ctx.screen ctx 0 in
+  let dw, dh = (vdesk_of ctx).Ctx.vsize in
+  let vp = Vdesk.viewport ctx ~screen:0 in
+  let thumb ~bar_len ~desktop_len ~view_pos ~view_len =
+    (view_pos * bar_len / desktop_len, max 4 (view_len * bar_len / desktop_len))
+  in
+  match (scr.Ctx.hbar, scr.Ctx.vbar) with
+  | Some (hbar, hthumb), Some (vbar, vthumb) ->
+      let hpos, hlen =
+        thumb ~bar_len:(Server.geometry server hbar).w ~desktop_len:dw ~view_pos:vp.x
+          ~view_len:vp.w
+      and vpos, vlen =
+        thumb ~bar_len:(Server.geometry server vbar).h ~desktop_len:dh ~view_pos:vp.y
+          ~view_len:vp.h
+      in
+      Geom.rect_equal (Server.geometry server hthumb) (Geom.rect hpos 1 hlen 10)
+      && Geom.rect_equal (Server.geometry server vthumb) (Geom.rect 1 vpos 10 vlen)
+  | _ -> false
+
 let panner_matches_model server ctx =
   let outline_geom, minis = model server ctx in
   match panner_children server ctx with
@@ -404,12 +511,49 @@ let panner_matches_model server ctx =
            rest minis
       && Xid.Tbl.length ctx.Ctx.panner_minis = List.length minis
 
+(* The ops whose WM-side handling must keep the panner up to date by
+   itself, so the harness adds no refresh after them: the pans, which go
+   through [Panner.pan_to], and a retitle, which can resize the frame. *)
+let rec wm_refreshes = function
+  | Press_panner _ | Press_mini _ | Press_bar _ | F_pan _ | F_panto _ | Retitle _ -> true
+  | Reduced op -> wm_refreshes op
+  | Manage _ | Move _ | Raise _ | Lower _ | Iconify _ | Deiconify _ | Stick _
+  | Unstick _ | Pan _ | Desktop _ | Destroy _ ->
+      false
+
+(* Button 1 at root position [p], if the window there is one of [targets]
+   (anything else, such as a sticky window over a scrollbar, would make it
+   some other op). *)
+let press_if server wm p targets =
+  if targets (Server.window_at server ~screen:0 p) then begin
+    Server.warp_pointer server ~screen:0 p;
+    ignore (Wm.step wm);
+    Server.press_button server 1;
+    ignore (Wm.step wm);
+    Server.release_button server 1;
+    ignore (Wm.step wm)
+  end
+
+(* The pans go through [Panner.pan_to], which updates only the thumbs and
+   the outline, and a retitle is checked after the WM's own handling; every
+   other op is followed by a full refresh.  Ops under the reduced tier are
+   not checked: their skipped refreshes pile up until the next full-tier
+   op, before which one refresh (the governor's restore) must repair them
+   all.  After every full-tier op the panner must match the model. *)
 let prop_panner_matches_rebuild =
   QCheck2.Test.make ~name:"panner matches a rebuild after every refresh" ~count:200
     ~print:(fun ops -> String.concat "; " (List.map show_op ops))
     QCheck2.Gen.(list_size (int_range 1 30) op_gen)
     (fun ops ->
-      let server, wm, ctx = fixture ~extra:"swm*desktops: 2\n" () in
+      let server, wm, ctx =
+        fixture ~extra:"swm*desktops: 2\nswm*scrollbars: True\n" ()
+      in
+      let panner = (vdesk_of ctx).Ctx.panner_client in
+      let in_panner w =
+        Xid.equal w panner
+        || ((not (Xid.is_none (Server.parent_of server w)))
+           && Xid.equal (Server.parent_of server w) panner)
+      in
       let apps = ref [] and launched = ref 0 in
       let nth i =
         match !apps with [] -> None | l -> Some (List.nth l (i mod List.length l))
@@ -439,22 +583,61 @@ let prop_panner_matches_rebuild =
                 Client_app.destroy app;
                 apps := List.filter (fun a -> a != app) !apps
             | None -> ())
+        | Press_panner (x, y) ->
+            let o = Server.root_geometry server panner in
+            press_if server wm (Geom.point (o.x + x) (o.y + y)) in_panner
+        | Press_mini i ->
+            on i (fun c ->
+                let mini = c.Ctx.panner_mini in
+                if (not (Xid.is_none mini)) && Server.window_exists server mini then begin
+                  let g = Server.root_geometry server mini in
+                  press_if server wm (Geom.point g.x g.y) (fun w ->
+                      Panner.client_of_miniature ctx w <> None)
+                end)
+        | Press_bar (horizontal, t) -> (
+            let scr = Ctx.screen ctx 0 in
+            match if horizontal then scr.Ctx.hbar else scr.Ctx.vbar with
+            | Some (bar, thumb) ->
+                let g = Server.root_geometry server bar in
+                let p =
+                  if horizontal then Geom.point (g.x + (t mod g.w)) (g.y + 1)
+                  else Geom.point (g.x + 1) (g.y + (t mod g.h))
+                in
+                press_if server wm p (fun w -> Xid.equal w bar || Xid.equal w thumb)
+            | None -> ())
+        | F_pan (dx, dy) -> run "f.pan" (Some (Printf.sprintf "%d,%d" dx dy))
+        | F_panto (x, y) -> run "f.panto" (Some (Printf.sprintf "%d,%d" x y))
+        | Retitle (i, n) -> (
+            match nth i with
+            | Some app -> Client_app.set_name app (String.make n 'W')
+            | None -> ())
         | Reduced op ->
             ctx.Ctx.tier <- Ctx.Tier_reduced;
             apply op;
             ignore (Wm.step wm);
             ctx.Ctx.tier <- Ctx.Tier_full
       in
+      let pending = ref false in
+      let restore () =
+        (* What the governor does when it restores the full tier. *)
+        if !pending then Panner.refresh ctx ~screen:0;
+        pending := false
+      in
+      let matches () = panner_matches_model server ctx && thumbs_match_model server ctx in
       List.for_all
-        (fun op ->
-          apply op;
-          match op with
-          | Reduced _ -> true
-          | _ ->
+        (function
+          | Reduced _ as op ->
+              apply op;
+              pending := true;
+              true
+          | op ->
+              restore ();
+              apply op;
               ignore (Wm.step wm);
-              Panner.refresh ctx ~screen:0;
-              panner_matches_model server ctx)
-        ops)
+              if not (wm_refreshes op) then Panner.refresh ctx ~screen:0;
+              matches ())
+        ops
+      && (not !pending || (restore (); matches ())))
 
 let suite =
   [
@@ -478,6 +661,8 @@ let suite =
       test_idle_refresh_sends_nothing;
     Alcotest.test_case "one moved window costs one request" `Quick
       test_one_move_one_request;
+    Alcotest.test_case "a wider title resizes the miniature" `Quick
+      test_retitle_resizes_miniature;
     Alcotest.test_case "raising or lowering one window costs two requests" `Quick
       test_restack_one_request;
     Alcotest.test_case "unmanage in a degraded tier drops the miniature" `Quick

@@ -441,6 +441,200 @@ let test_atoms () =
   check Alcotest.bool "missing lookup" true
     (Swm_xlib.Atom.intern_existing atoms "NOPE" = None)
 
+(* -------- the stored window under the pointer -------- *)
+
+(* Random request streams on two screens and two connections.  Window
+   operands index the roots followed by every window created so far, dead
+   ones included, or (-1) name the window under the pointer, found afresh;
+   a request the server rejects is simply skipped. *)
+type req =
+  | Create of int * int * Geom.rect * int  (* conn, parent, geometry, border *)
+  | Map of int
+  | Unmap of int
+  | Configure of int * Geom.rect option * int option * (Event.stack_mode * int option) option
+  | Raise of int
+  | Lower of int
+  | Reparent of int * int * Geom.point
+  | Destroy of int
+  | Shape of int * Geom.rect list
+  | Unshape of int
+  | Warp of int * Geom.point
+  | Save of int * int  (* conn, window *)
+  | Disconnect of int
+
+let show_req =
+  let r (g : Geom.rect) = Printf.sprintf "%dx%d+%d+%d" g.w g.h g.x g.y in
+  function
+  | Create (c, p, g, b) -> Printf.sprintf "create c%d in #%d %s b%d" c p (r g) b
+  | Map i -> Printf.sprintf "map #%d" i
+  | Unmap i -> Printf.sprintf "unmap #%d" i
+  | Configure (i, g, b, st) ->
+      Printf.sprintf "configure #%d%s%s%s" i
+        (match g with Some g -> " " ^ r g | None -> "")
+        (match b with Some b -> Printf.sprintf " b%d" b | None -> "")
+        (match st with
+        | Some (m, sib) ->
+            Printf.sprintf " %s%s"
+              (if m = Event.Above then "above" else "below")
+              (match sib with Some j -> Printf.sprintf " #%d" j | None -> "")
+        | None -> "")
+  | Raise i -> Printf.sprintf "raise #%d" i
+  | Lower i -> Printf.sprintf "lower #%d" i
+  | Reparent (i, p, pos) -> Printf.sprintf "reparent #%d to #%d at %d,%d" i p pos.px pos.py
+  | Destroy i -> Printf.sprintf "destroy #%d" i
+  | Shape (i, rs) -> Printf.sprintf "shape #%d [%s]" i (String.concat " " (List.map r rs))
+  | Unshape i -> Printf.sprintf "unshape shaped #%d" i
+  | Warp (scr, p) -> Printf.sprintf "warp %d %d,%d" scr p.px p.py
+  | Save (c, i) -> Printf.sprintf "save-set c%d #%d" c i
+  | Disconnect c -> Printf.sprintf "disconnect c%d" c
+
+let req_gen =
+  let open QCheck2.Gen in
+  let idx = frequency [ (1, int_bound 24); (1, return (-1)) ] and conn = int_bound 1 in
+  let parent = frequency [ (1, int_bound 1); (1, int_bound 24) ] in
+  let coord = int_range (-10) 110 and size = int_range 1 90 in
+  let geom = map4 Geom.rect coord coord size size in
+  let shape_rect = map4 Geom.rect coord coord (int_range 1 40) (int_range 1 40) in
+  let point = map2 Geom.point (int_bound 119) (int_bound 89) in
+  let stack =
+    opt (pair (oneofl [ Event.Above; Event.Below ]) (opt idx))
+  in
+  frequency
+    [
+      (4, map4 (fun c p g b -> Create (c, p, g, b)) conn parent geom (int_bound 3));
+      (5, map (fun i -> Map i) (int_bound 24));
+      (2, map (fun i -> Unmap i) idx);
+      (3, map4 (fun i g b st -> Configure (i, g, b, st)) idx (opt geom) (opt (int_bound 3)) stack);
+      (1, map (fun i -> Raise i) idx);
+      (1, map (fun i -> Lower i) idx);
+      (2, map3 (fun i p pos -> Reparent (i, p, pos)) idx idx point);
+      (1, map (fun i -> Destroy i) idx);
+      (2, map2 (fun i rs -> Shape (i, rs)) idx (list_size (int_range 1 3) shape_rect));
+      (2, map (fun i -> Unshape i) (int_bound 24));
+      (4, map2 (fun scr p -> Warp (scr, p)) (int_bound 1) point);
+      (1, map2 (fun c i -> Save (c, i)) conn idx);
+      (1, map (fun c -> Disconnect c) conn);
+    ]
+
+let prop_pointer_window_is_fresh =
+  QCheck2.Test.make ~name:"window_at_pointer equals a fresh hit test after every request"
+    ~count:1000
+    ~print:(fun reqs -> String.concat "; " (List.map show_req reqs))
+    QCheck2.Gen.(list_size (int_range 1 40) req_gen)
+    (fun reqs ->
+      let server =
+        Server.create
+          ~screens:
+            [ { size = (120, 90); monochrome = false }; { size = (100, 80); monochrome = false } ]
+          ()
+      in
+      let conns = [| Server.connect server ~name:"a"; Server.connect server ~name:"b" |] in
+      let windows = ref [ Server.root server ~screen:0; Server.root server ~screen:1 ] in
+      let win i =
+        if i < 0 then
+          Server.window_at server ~screen:(Server.pointer_screen server)
+            (Server.pointer_pos server)
+        else List.nth !windows (i mod List.length !windows)
+      in
+      let apply = function
+        | Create (c, p, geom, border) ->
+            let w = Server.create_window server conns.(c) ~parent:(win p) ~geom ~border () in
+            windows := !windows @ [ w ]
+        | Map i -> Server.map_window server conns.(0) (win i)
+        | Unmap i -> Server.unmap_window server conns.(0) (win i)
+        | Configure (i, g, b, st) ->
+            Server.configure_window server conns.(0) (win i)
+              {
+                Event.cx = Option.map (fun (g : Geom.rect) -> g.x) g;
+                cy = Option.map (fun (g : Geom.rect) -> g.y) g;
+                cw = Option.map (fun (g : Geom.rect) -> g.w) g;
+                ch = Option.map (fun (g : Geom.rect) -> g.h) g;
+                cborder = b;
+                cstack = Option.map fst st;
+                csibling = Option.join (Option.map (fun (_, s) -> Option.map win s) st);
+              }
+        | Raise i -> Server.raise_window server conns.(0) (win i)
+        | Lower i -> Server.lower_window server conns.(0) (win i)
+        | Reparent (i, p, pos) ->
+            Server.reparent_window server conns.(1) (win i) ~new_parent:(win p) ~pos
+        | Destroy i -> Server.destroy_window server (win i)
+        | Shape (i, rs) -> Server.shape_set server conns.(0) (win i) (Region.of_rects rs)
+        | Unshape i -> (
+            (* The operand counts among the shaped windows, those whose box
+               holds the pointer if there are any: there a clear can change
+               the window under the pointer. *)
+            let shaped =
+              List.filter
+                (fun w -> Server.window_exists server w && Server.is_shaped server w)
+                !windows
+            in
+            let under =
+              List.filter
+                (fun w ->
+                  Server.screen_of_window server w = Server.pointer_screen server
+                  && Geom.contains (Server.root_geometry server w) (Server.pointer_pos server))
+                shaped
+            in
+            match if under = [] then shaped else under with
+            | [] -> ()
+            | shaped ->
+                Server.shape_clear server conns.(0)
+                  (List.nth shaped (abs i mod List.length shaped)))
+        | Warp (scr, p) -> Server.warp_pointer server ~screen:scr p
+        | Save (c, i) -> Server.add_to_save_set server conns.(c) (win i)
+        | Disconnect c ->
+            Server.disconnect server conns.(c);
+            conns.(c) <- Server.connect server ~name:(if c = 0 then "a" else "b")
+      in
+      List.for_all
+        (fun req ->
+          (try apply req with
+          | Server.Bad_window _ | Server.Bad_access _ | Invalid_argument _ -> ());
+          Xid.equal (Server.window_at_pointer server)
+            (Server.window_at server ~screen:(Server.pointer_screen server)
+               (Server.pointer_pos server)))
+        reqs)
+
+(* Pointer input costs the same allocation however many windows the hit
+   test walks past: a target window under [n] mapped siblings that lie
+   elsewhere, so every hit test passes all of them. *)
+let test_pointer_input_alloc_flat () =
+  let cost n =
+    let server, conn, root = fixture () in
+    let target = new_win server conn root ~geom:(rect 50 50 50 50) in
+    Server.map_window server conn target;
+    Server.select_input server conn target
+      [ Event.Pointer_motion_mask; Event.Button_press_mask; Event.Button_release_mask;
+        Event.Enter_leave_mask ];
+    for _ = 1 to n do
+      Server.map_window server conn (new_win server conn root ~geom:(rect 200 200 100 100))
+    done;
+    let words f =
+      let w0 = Gc.minor_words () in
+      f ();
+      let w1 = Gc.minor_words () in
+      w1 -. w0
+    in
+    (* One op: leave the target, come back, press, release. *)
+    let op () =
+      Server.warp_pointer server ~screen:0 (Geom.point 150 150);
+      ignore (Server.drain_events conn);
+      let warp = words (fun () -> Server.warp_pointer server ~screen:0 (Geom.point 60 60)) in
+      let press = words (fun () -> Server.press_button server 1) in
+      let release = words (fun () -> Server.release_button server 1) in
+      ignore (Server.drain_events conn);
+      [ warp; press; release ]
+    in
+    ignore (op ());
+    List.fold_left (List.map2 Float.min) [ infinity; infinity; infinity ]
+      (List.init 8 (fun _ -> op ()))
+  in
+  List.iter2
+    (fun what (w10, w100) ->
+      check (Alcotest.float 0.) (what ^ " words, 10 vs 100 siblings") w10 w100)
+    [ "warp"; "press"; "release" ]
+    (List.combine (cost 10) (cost 100))
+
 let suite =
   [
     Alcotest.test_case "create and destroy" `Quick test_create_destroy;
@@ -472,4 +666,7 @@ let suite =
     Alcotest.test_case "multiple screens" `Quick test_multi_screen;
     Alcotest.test_case "send_event" `Quick test_send_event;
     Alcotest.test_case "atom interning" `Quick test_atoms;
+    Alcotest.test_case "pointer input allocation is flat in the window count" `Quick
+      test_pointer_input_alloc_flat;
+    QCheck_alcotest.to_alcotest prop_pointer_window_is_fresh;
   ]
